@@ -109,7 +109,6 @@ from repro.journal.layer import (
     JournalLayer,
     RecoveryInfo,
 )
-from repro.journal.server import JournaledStreamingServer
 from repro.runtime import (
     RunOutcome,
     RunSpec,
@@ -119,7 +118,6 @@ from repro.runtime import (
     build_runtime,
     recover_runtime,
 )
-from repro.journal.sharded import JournaledShardedStreamingServer
 from repro.journal.wal import Journal, WriteAheadLog
 from repro.obs import (
     LogHistogram,
@@ -211,8 +209,6 @@ __all__ = [
     "JournalError",
     "JournalLayer",
     "JournalReplayError",
-    "JournaledShardedStreamingServer",
-    "JournaledStreamingServer",
     "LazySpatioTemporalGreedy",
     "LogHistogram",
     "MetricsRegistry",

@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Nine subcommands cover the common workflows:
+Sixteen subcommands cover the common workflows:
 
 * ``run`` — execute one declarative :class:`~repro.runtime.RunSpec`
   (``--spec file.json``), the spec-driven face of the composable
@@ -45,7 +45,7 @@ Nine subcommands cover the common workflows:
   two traces under the timing mask and localize the first divergent
   record and its causal span.
 * ``bench-par`` — the parallel-executor suite: the same seed-pinned
-  scenarios solved under ``serial``/``thread``/``process`` executors
+  scenarios solved under ``serial``/``process`` executors
   at shard counts 1/2/4/8, hard-asserting byte-identical plans,
   metrics, and op counters across executors while reporting (never
   gating) measured wall clock next to the modeled ``SimCluster``
@@ -58,10 +58,11 @@ Nine subcommands cover the common workflows:
 
 Every command prints a compact report; ``--seed`` makes runs
 reproducible.  The solve, simulate, and bench commands accept
-``--backend {python,numpy}`` (identical plans, different speed) and
-``--profile`` to print the top cProfile hotspots of the run — both
-flags are attached through one shared helper so every subcommand
-spells them identically.  ``simulate --shards N`` routes the trace
+``--backend {python,numpy}`` (identical plans, different speed),
+attached through one shared helper so every subcommand spells it
+identically; ``run`` and ``simulate`` take ``--telemetry`` /
+``--trace-out`` for phase-attributed timings (read them back with
+``trace-report``).  ``simulate --shards N`` routes the trace
 over a sharded streaming deployment (``--halo`` sizes the worker
 replication margin).  ``simulate --journal PATH`` write-ahead-logs
 the run (``--snapshot-every`` paces snapshots); ``--crash-at K``
@@ -96,15 +97,6 @@ from repro.workloads.spatial import Distribution
 __all__ = ["main", "build_parser"]
 
 
-def _add_profile_flag(p: argparse.ArgumentParser) -> None:
-    """Attach the shared ``--profile`` flag."""
-    p.add_argument(
-        "--profile",
-        action="store_true",
-        help="run under cProfile and print the top-15 cumulative hotspots",
-    )
-
-
 def _add_backend_flag(p: argparse.ArgumentParser) -> None:
     """Attach the shared ``--backend`` flag."""
     p.add_argument(
@@ -113,12 +105,6 @@ def _add_backend_flag(p: argparse.ArgumentParser) -> None:
         default="python",
         help="quality-kernel backend (identical plans, different speed)",
     )
-
-
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    """The backend/profile pair every solving subcommand carries."""
-    _add_backend_flag(p)
-    _add_profile_flag(p)
 
 
 def _positive_int(value: str) -> int:
@@ -188,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
             default=0.25,
             help="budget as a fraction of the average full-task cost",
         )
-        _add_solver_flags(p)
+        _add_backend_flag(p)
 
     run = sub.add_parser(
         "run",
@@ -216,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--trace-out", default=None, metavar="PATH",
                      help="write the structured JSONL trace here "
                           "(implies --telemetry; inspect with trace-report)")
-    _add_profile_flag(run)
 
     single = sub.add_parser("solve-single", help="assign one TCSC task")
     common(single)
@@ -357,16 +342,15 @@ def build_parser() -> argparse.ArgumentParser:
                           "(implies --telemetry; inspect with trace-report)")
     sim.add_argument("--executor", default="serial", metavar="KIND",
                      help="where per-shard solves run: serial (in-process, "
-                          "the default), thread, or process (real cores; "
-                          "work units cross the boundary as exact JSON "
-                          "snapshots, so plans stay byte-identical)")
+                          "the default) or process (real cores; work units "
+                          "cross the boundary as exact JSON snapshots, so "
+                          "plans stay byte-identical)")
     sim.add_argument("--max-workers", dest="max_workers",
                      type=_max_workers_arg, default=None, metavar="N",
                      help="cap the executor's worker pool (requires "
-                          "--executor thread|process; default: one per "
-                          "shard, bounded by the host's cores for "
-                          "process executors)")
-    _add_solver_flags(sim)
+                          "--executor process; default: one per shard, "
+                          "bounded by the host's cores)")
+    _add_backend_flag(sim)
 
     perf = sub.add_parser(
         "bench-perf",
@@ -376,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="smallest scenario only (CI smoke mode)")
     perf.add_argument("--results-dir", default=None,
                       help="override benchmarks/results output directory")
-    _add_profile_flag(perf)
 
     shard = sub.add_parser(
         "bench-shard",
@@ -386,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="smallest scenarios only (CI smoke mode)")
     shard.add_argument("--results-dir", default=None,
                        help="override benchmarks/results output directory")
-    _add_solver_flags(shard)
+    _add_backend_flag(shard)
 
     par = sub.add_parser(
         "bench-par",
@@ -410,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="smallest scenario only (CI smoke mode)")
     journal.add_argument("--results-dir", default=None,
                          help="override benchmarks/results output directory")
-    _add_solver_flags(journal)
+    _add_backend_flag(journal)
 
     matrix = sub.add_parser(
         "matrix",
@@ -421,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="reduced grid (CI smoke mode)")
     matrix.add_argument("--results-dir", default=None,
                         help="override benchmarks/results output directory")
-    _add_profile_flag(matrix)
 
     trace_report = sub.add_parser(
         "trace-report",
@@ -950,13 +932,6 @@ def _cmd_bench_regress(args) -> int:
     )
 
 
-def _run_profiled(handler, args) -> int:
-    """Deprecated spelling: delegate to :func:`repro.obs.profile.run_profiled`."""
-    from repro.obs.profile import run_profiled
-
-    return run_profiled(handler, args)
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
@@ -978,10 +953,7 @@ def main(argv: list[str] | None = None) -> int:
         "trace-report": _cmd_trace_report,
         "trace-diff": _cmd_trace_diff,
     }
-    handler = handlers[args.command]
-    if getattr(args, "profile", False):
-        return _run_profiled(handler, args)
-    return handler(args)
+    return handlers[args.command](args)
 
 
 if __name__ == "__main__":

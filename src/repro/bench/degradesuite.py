@@ -111,13 +111,6 @@ _REJECTION_ROWS = (
 )
 
 
-def _digest(obj) -> str:
-    """Stable fingerprint of counters/metrics repr state."""
-    import hashlib
-
-    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
-
-
 # ----------------------------------------------------------------------
 # Arm 1: approx-off identity (vs the matrixsuite legacy classes)
 # ----------------------------------------------------------------------
@@ -133,14 +126,14 @@ def _identity_cells(plain_base: RunSpec, stream_base: RunSpec) -> list[dict]:
         wall = time.perf_counter() - start
         legacy = (
             _legacy_plain(spec) if mode == "plain"
-            else _legacy_stream(spec, Path("/nonexistent-unused"))
+            else _legacy_stream(spec)
         )
         cells.append({
             "arm": "identity",
             "mode": mode,
             "plan_identical": outcome.plan_signature == legacy["plan"],
             "counters_identical": (
-                _digest(outcome.counters) == _digest(legacy["counters"])
+                _signature_hash(outcome.counters) == _signature_hash(legacy["counters"])
             ),
             "metrics_identical": (
                 None if mode == "plain"

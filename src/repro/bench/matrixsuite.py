@@ -11,7 +11,8 @@ twice: once through the spec-driven factory
 (:func:`repro.runtime.build_runtime`) and once through the
 pre-refactor legacy-class path (``SequentialServingSolver`` /
 ``ShardedTCSCServer`` / ``StreamingTCSCServer`` /
-``ShardedStreamingServer`` / the deprecated ``Journaled*`` shims).
+``ShardedStreamingServer``; a journal-on cell's legacy run is the
+unjournaled class, which the zero-overhead gate below makes sound).
 The two runs must agree **byte-for-byte** on ``plan_signature()``,
 ``StreamMetrics``, and ``OpCounters`` — the refactor's acceptance
 invariant.  Cells the spec layer rejects (journal without stream
@@ -39,7 +40,6 @@ import json
 import sys
 import tempfile
 import time
-import warnings
 from pathlib import Path
 
 from repro.bench.report import signature_hash as _signature_hash
@@ -134,10 +134,14 @@ def _legacy_plain(spec: RunSpec):
     }
 
 
-def _legacy_stream(spec: RunSpec, workdir: Path):
-    """The PR-1/3/4 classes, constructed by hand as their PRs did."""
-    from repro.journal.sharded import JournaledShardedStreamingServer
-    from repro.journal.server import JournaledStreamingServer
+def _legacy_stream(spec: RunSpec):
+    """The streaming and sharded-streaming classes, built by hand.
+
+    A journal-on spec gets the plain (unjournaled) legacy class: the
+    zero-overhead gate already requires journal-on == journal-off
+    within one (mode, shards, backend) group, so the unjournaled run
+    is the reference for both.
+    """
     from repro.shard.streaming import ShardedStreamingServer
     from repro.stream.online_server import StreamingTCSCServer
     from repro.workloads.spatial import Distribution
@@ -160,31 +164,14 @@ def _legacy_stream(spec: RunSpec, workdir: Path):
         max_queue_depth=spec.max_queue_depth, pool_budget=spec.pool_budget,
         realization_seed=w.seed, backend=spec.backend,
     )
-    journaled = spec.journal is not None
-    with warnings.catch_warnings():
-        # The deprecated spellings are the *point* of the legacy arm.
-        warnings.simplefilter("ignore", DeprecationWarning)
-        if spec.shards == 1:
-            if journaled:
-                server = JournaledStreamingServer(
-                    built.bbox, journal=workdir / "legacy-journal",
-                    snapshot_every=spec.snapshot_every, **kwargs,
-                )
-            else:
-                server = StreamingTCSCServer(built.bbox, **kwargs)
-        elif journaled:
-            server = JournaledShardedStreamingServer(
-                built.bbox, journal_root=workdir / "legacy-journal",
-                num_shards=spec.shards, cells_per_side=spec.cells_per_side,
-                halo_margin=spec.halo, snapshot_every=spec.snapshot_every,
-                **kwargs,
-            )
-        else:
-            server = ShardedStreamingServer(
-                built.bbox, num_shards=spec.shards,
-                cells_per_side=spec.cells_per_side, halo_margin=spec.halo,
-                **kwargs,
-            )
+    if spec.shards == 1:
+        server = StreamingTCSCServer(built.bbox, **kwargs)
+    else:
+        server = ShardedStreamingServer(
+            built.bbox, num_shards=spec.shards,
+            cells_per_side=spec.cells_per_side, halo_margin=spec.halo,
+            **kwargs,
+        )
     metrics = server.run(list(built.events))
     counters = (
         tuple(s.counters for s in server.servers)
@@ -197,18 +184,6 @@ def _legacy_stream(spec: RunSpec, workdir: Path):
         "metrics": metrics,
         "qualities": dict(metrics.promised_quality),
     }
-
-
-def _digest(obj) -> str:
-    """Deterministic fingerprint of counters/metrics state.
-
-    ``repr`` of the dataclasses is stable under the determinism
-    policy (shortest-repr floats, insertion-ordered dicts), so equal
-    digests across cells mean byte-equal observable state.
-    """
-    import hashlib
-
-    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
 
 
 def _cell_spec(base: RunSpec, mode, shards, journaled, backend, workdir: Path):
@@ -246,7 +221,7 @@ def _run_cell(base: RunSpec, mode, shards, journaled, backend, workdir) -> dict:
     if mode == "plain":
         legacy = _legacy_plain(spec)
     else:
-        legacy = _legacy_stream(spec, workdir)
+        legacy = _legacy_stream(spec)
     wall_legacy = time.perf_counter() - start
 
     composed_counters = (
@@ -271,8 +246,8 @@ def _run_cell(base: RunSpec, mode, shards, journaled, backend, workdir) -> dict:
         signature=_signature_hash(outcome.plan_signature),
         # Fingerprints for the cross-cell gates (journal on == off):
         # the full observable state, not just the plan.
-        counters_digest=_digest(composed_counters),
-        metrics_digest=None if mode == "plain" else _digest(outcome.metrics),
+        counters_digest=_signature_hash(composed_counters),
+        metrics_digest=None if mode == "plain" else _signature_hash(outcome.metrics),
         wall_composed_s=wall_composed,
         wall_legacy_s=wall_legacy,
     )

@@ -37,7 +37,6 @@ is ``benchmarks/BENCH_obs.json`` via
 
 from __future__ import annotations
 
-import hashlib
 import json
 import sys
 import tempfile
@@ -93,13 +92,6 @@ _SMOKE_BASES = {
         )
     ),
 }
-
-
-def _digest(obj) -> str:
-    """Deterministic fingerprint of counters/metrics/trace state
-    (repr of the dataclasses is stable under the determinism policy)."""
-    data = obj if isinstance(obj, bytes) else repr(obj).encode()
-    return hashlib.sha256(data).hexdigest()[:16]
 
 
 def _run_one(spec: RunSpec):
@@ -186,12 +178,12 @@ def _run_cell(base: RunSpec, mode, shards, journaled, workdir: Path) -> dict:
         ),
         critical_path_total=critical[0].total,
         records=len(on.telemetry.recorder.records),
-        masked_trace_digest=_digest(masked[0]),
+        masked_trace_digest=_signature_hash(masked[0]),
         signature=_signature_hash(on.plan_signature),
-        counters_digest=_digest(
+        counters_digest=_signature_hash(
             list(on.counters) if isinstance(on.counters, tuple) else on.counters
         ),
-        metrics_digest=None if mode == "plain" else _digest(on.metrics),
+        metrics_digest=None if mode == "plain" else _signature_hash(on.metrics),
         wall_off_s=wall_off,
         wall_on_s=wall_on,
     )

@@ -32,7 +32,6 @@ reader can interpret the wall-clock column.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import sys
@@ -98,18 +97,12 @@ _STREAM_SMOKE = _STREAM_FULL.replace(
 )
 
 
-def _digest(obj) -> str:
-    """Short deterministic digest of a JSON-able structure."""
-    canonical = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
-
-
 def _plain_identity(report) -> dict:
     """The byte-identity evidence of one plain serving round."""
     return {
         "plan": _signature_hash(report.plan_signature()),
-        "counters": _digest(report.counters.to_dict()),
-        "metrics": _digest({
+        "counters": _signature_hash(report.counters.to_dict()),
+        "metrics": _signature_hash({
             "per_task_cost": sorted(report.per_task_cost.items()),
             "qualities": sorted(report.qualities.items()),
             "total_cost": report.total_cost,
@@ -128,27 +121,30 @@ def _stream_identity(outcome) -> dict:
     if not isinstance(counters, tuple):
         counters = (counters,)
     metrics = outcome.metrics
+    evidence = {
+        "per_shard": [asdict(m) for m in metrics.per_shard],
+        "tasks_routed": list(metrics.tasks_routed),
+        "dropped_events": metrics.dropped_events,
+        "worker_routes": sorted(
+            (wid, list(shards)) for wid, shards in metrics.worker_routes.items()
+        ),
+        "makespan": metrics.makespan,
+        "serial_cost": metrics.serial_cost,
+    }
     return {
         "plan": _signature_hash(outcome.plan_signature),
-        "counters": _digest([c.to_dict() for c in counters]),
-        "metrics": _digest({
-            "per_shard": [asdict(m) for m in metrics.per_shard],
-            "tasks_routed": list(metrics.tasks_routed),
-            "dropped_events": metrics.dropped_events,
-            "worker_routes": sorted(
-                (wid, list(shards)) for wid, shards in metrics.worker_routes.items()
-            ),
-            "makespan": metrics.makespan,
-            "serial_cost": metrics.serial_cost,
-        }),
+        "counters": _signature_hash([c.to_dict() for c in counters]),
+        # Hashed in canonical JSON, not by repr: a worker's metrics come
+        # back through the sorted-key snapshot codec, so their dicts are
+        # equal to the serial arm's but in a different insertion order.
+        "metrics": _signature_hash(json.dumps(evidence, sort_keys=True).encode()),
     }
 
 
 def _executor_for(kind: str, pools: dict) -> Executor | None:
     """The injected executor for one arm: one persistent process pool
     shared across the whole sweep (pay the fork cost once), ``None``
-    otherwise (serial resolves to the legacy path; thread pools are
-    per-call anyway)."""
+    for serial (it resolves to the legacy path)."""
     if kind != "process":
         return None
     if "process" not in pools:
@@ -328,7 +324,7 @@ def _write_report_block(payload: dict, results_dir: Path) -> None:
     host = payload["host"]
     reporter = Reporter(
         "par1",
-        "Parallel-executor suite: serial/thread/process at shard counts "
+        f"Parallel-executor suite: {'/'.join(payload['executors'])} at shard counts "
         f"{'/'.join(str(c) for c in payload['shard_counts'])}",
         results_dir=results_dir,
     )

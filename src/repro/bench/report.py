@@ -58,12 +58,16 @@ class Reporter:
 
 
 def signature_hash(signature) -> str:
-    """Stable 16-hex digest of a plan signature (tuples of ints).
+    """Stable 16-hex digest of a plan signature, or of any state.
 
-    Shared by the shard and journal suites so their ``signature``
-    fields stay cross-comparable (the one-shard-equals-plain gate
-    compares digests across payload sections).
+    The one digest every suite shares, so ``signature`` fields stay
+    cross-comparable (the one-shard-equals-plain gate compares digests
+    across payload sections).  ``bytes`` are hashed as-is (masked
+    trace bytes); anything else by its ``repr``, which the determinism
+    policy keeps stable (shortest-repr floats, insertion-ordered
+    dicts), so equal digests mean byte-equal observable state.
     """
     import hashlib
 
-    return hashlib.sha256(repr(signature).encode()).hexdigest()[:16]
+    data = signature if isinstance(signature, bytes) else repr(signature).encode()
+    return hashlib.sha256(data).hexdigest()[:16]

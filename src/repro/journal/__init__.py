@@ -20,11 +20,14 @@ Three pieces:
   :class:`~repro.stream.online_server.StreamingTCSCServer`: worker
   registry, live sessions (quality evaluators re-executed bit-for-bit,
   tree indexes copied verbatim), budget pools, metrics, and counters.
-* :mod:`repro.journal.server` — :class:`JournaledStreamingServer`
-  (logs before applying, snapshots at epoch boundaries, recovers via
-  latest-snapshot + log-suffix replay) and the fault-injection crash
-  harness; :mod:`repro.journal.sharded` extends it to the sharded
-  streaming deployment with one journal per shard.
+* :mod:`repro.journal.layer` — the :class:`JournalLayer` serving
+  layer (logs before applying, snapshots at epoch boundaries, recovers
+  via latest-snapshot + log-suffix replay), the fault-injection crash
+  harness, and the :func:`journaled_server` / :func:`recover_server`
+  constructors; :mod:`repro.journal.sharded` composes one journal
+  layer per shard of the sharded streaming deployment
+  (:func:`sharded_journaled_server` / :func:`recover_sharded_server`
+  / :func:`resume_sharded`).
 """
 
 from repro.journal.layer import (
@@ -36,9 +39,7 @@ from repro.journal.layer import (
     journaled_server,
     recover_server,
 )
-from repro.journal.server import JournaledStreamingServer
 from repro.journal.sharded import (
-    JournaledShardedStreamingServer,
     recover_sharded_server,
     resume_sharded,
     sharded_journaled_server,
@@ -51,8 +52,6 @@ __all__ = [
     "InjectedCrash",
     "Journal",
     "JournalLayer",
-    "JournaledShardedStreamingServer",
-    "JournaledStreamingServer",
     "RecoveryInfo",
     "WriteAheadLog",
     "decode_event",

@@ -19,10 +19,6 @@ Construction helpers:
   directory (latest snapshot + armed replay cursor).
 * :func:`journal_layer` — fetch the journal layer off a layered
   server (the sharded deployment and the CLI use it).
-
-The legacy class spellings (:class:`~repro.journal.server.
-JournaledStreamingServer` and friends) are thin deprecation shims
-over these helpers.
 """
 
 from __future__ import annotations
@@ -401,7 +397,7 @@ class JournalLayer(ServingLayer):
 
 
 # ----------------------------------------------------------------------
-# Construction helpers (what the factory and the shims build on)
+# Construction helpers (what the factory builds on)
 # ----------------------------------------------------------------------
 def journal_layer(server) -> JournalLayer:
     """The journal layer attached to ``server`` (typed lookup).

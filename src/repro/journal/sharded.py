@@ -24,9 +24,7 @@ boundaries in the deployment's serial run order.
 
 Module functions (:func:`sharded_journaled_server`,
 :func:`recover_sharded_server`, :func:`resume_sharded`) are what
-:func:`repro.runtime.build_runtime` composes;
-:class:`JournaledShardedStreamingServer` survives as a thin
-deprecation shim over them.
+:func:`repro.runtime.build_runtime` composes.
 """
 
 from __future__ import annotations
@@ -43,11 +41,9 @@ from repro.journal.layer import (
     journaled_server,
     recover_server,
 )
-from repro.runtime.layers import warn_deprecated
 from repro.shard.streaming import ShardedStreamingServer, ShardedStreamMetrics
 
 __all__ = [
-    "JournaledShardedStreamingServer",
     "read_sharded_meta",
     "recover_sharded_server",
     "resume_sharded",
@@ -228,100 +224,3 @@ def resume_sharded(
     return server._drain(
         events, lambda shard, trace: journal_layer(shard).resume_with_trace(trace)
     )
-
-
-# ----------------------------------------------------------------------
-# The legacy spelling (thin deprecation shim)
-# ----------------------------------------------------------------------
-class JournaledShardedStreamingServer(ShardedStreamingServer):
-    """Deprecated: sharded streaming with per-shard journal layers."""
-
-    def __init__(
-        self,
-        bbox: BoundingBox,
-        *,
-        journal_root: str | Path,
-        num_shards: int,
-        cells_per_side: int | None = None,
-        halo_margin: str | float = "auto",
-        snapshot_every: int = 4,
-        sync: bool = False,
-        crash_after_events: int | CrashBudget | None = None,
-        crash_phase: str = "apply",
-        _resume: bool = False,
-        **server_kwargs,
-    ):
-        warn_deprecated(
-            "JournaledShardedStreamingServer",
-            "build_runtime(RunSpec(mode='stream', shards=N, journal=...)) "
-            "or repro.journal.sharded.sharded_journaled_server(...)",
-        )
-        self.journal_root = Path(journal_root)
-        self.journal_root.mkdir(parents=True, exist_ok=True)
-        self.snapshot_every = snapshot_every
-        self._sync = sync
-        self._crash = CrashBudget.coerce(crash_after_events, crash_phase)
-        super().__init__(
-            bbox,
-            num_shards=num_shards,
-            cells_per_side=cells_per_side,
-            halo_margin=halo_margin,
-            server_factory=_shard_factory(
-                self.journal_root,
-                snapshot_every=snapshot_every,
-                sync=sync,
-                crash_budget=self._crash,
-                resuming=_resume,
-            ),
-            **server_kwargs,
-        )
-        if not _resume:
-            _write_sharded_meta(
-                self.journal_root,
-                {
-                    "bbox": [bbox.min_x, bbox.min_y, bbox.max_x, bbox.max_y],
-                    "num_shards": num_shards,
-                    "cells_per_side": cells_per_side,
-                    "halo_margin": self.halo_margin,
-                    "snapshot_every": snapshot_every,
-                    "server_kwargs": dict(server_kwargs),
-                },
-            )
-
-    @classmethod
-    def recover(
-        cls,
-        journal_root: str | Path,
-        *,
-        sync: bool = False,
-        snapshot_every: int | None = None,
-        crash_after_events: int | CrashBudget | None = None,
-        crash_phase: str = "apply",
-    ) -> "JournaledShardedStreamingServer":
-        """Rebuild the deployment from its journal root (see
-        :func:`recover_sharded_server`)."""
-        meta = read_sharded_meta(journal_root)
-        return cls(
-            BoundingBox(*meta["bbox"]),
-            journal_root=journal_root,
-            num_shards=meta["num_shards"],
-            cells_per_side=meta["cells_per_side"],
-            halo_margin=meta["halo_margin"],
-            snapshot_every=meta["snapshot_every"]
-            if snapshot_every is None
-            else snapshot_every,
-            sync=sync,
-            crash_after_events=crash_after_events,
-            crash_phase=crash_phase,
-            _resume=True,
-            **meta["server_kwargs"],
-        )
-
-    def resume(self, events) -> ShardedStreamMetrics:
-        """Re-route the full trace and resume every shard."""
-        return resume_sharded(self, events)
-
-    @property
-    def recovery(self):
-        """Per-shard :class:`~repro.journal.layer.RecoveryInfo`."""
-        return [journal_layer(server).recovery for server in self.servers]

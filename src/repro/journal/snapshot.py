@@ -29,7 +29,8 @@ each component by the cheapest *bit-exact* route:
 
 The server-level entry points are :func:`server_state` /
 :func:`restore_server_state`; configuration (constructor arguments) is
-journaled separately by :mod:`repro.journal.server`.
+journaled separately, in the journal's ``open`` header
+(:func:`repro.journal.layer.stream_server_config`).
 """
 
 from __future__ import annotations

@@ -296,7 +296,7 @@ class Journal:
                 f"{self.wal_path}: no write-ahead log to recover from "
                 "(wrong journal path, or a sharded journal root — those "
                 "hold shard-<i>/wal.log and are recovered through "
-                "JournaledShardedStreamingServer)"
+                "recover_sharded_server or RunSpec(shards=N, journal=...))"
             )
         records, valid_bytes, truncated = WriteAheadLog.read(self.wal_path)
         if truncated:

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from concurrent.futures import ThreadPoolExecutor
 
 from repro.core.instrumentation import OpCounters
 from repro.engine.registry import WorkerRegistry
@@ -47,7 +48,6 @@ from repro.model.task import TaskSet
 from repro.multi.result import MultiSolverResult, MultiStep
 from repro.multi.tables import ConflictingTable, HeartbeatTable, LoggingTable
 from repro.multi.task_state import Candidate, TaskState
-from repro.par.executor import Executor
 
 __all__ = ["TaskLevelParallelSolver", "ThreadedTaskLevelSolver"]
 
@@ -363,10 +363,11 @@ class ThreadedTaskLevelSolver:
     """The same master/worker protocol on real ``threading`` threads.
 
     Each round, every stale task recomputes its candidate concurrently
-    on a thread :class:`~repro.par.executor.Executor`; the master then
-    grants the globally best candidate, consumes the worker, and marks
-    the executor plus conflicted tasks stale.  The produced plan
-    equals the serial plan (same argument as above).
+    on a pool of ``threads`` worker threads (named ``tcsc-worker_<i>``);
+    the master then grants the globally best candidate, consumes the
+    worker, and marks the executing plus conflicted tasks stale.  A
+    worker's exception propagates out of :meth:`solve`.  The produced
+    plan equals the serial plan (same argument as above).
     """
 
     def __init__(
@@ -385,7 +386,7 @@ class ThreadedTaskLevelSolver:
         self.budget_limit = float(budget)
         if threads < 1:
             raise SchedulingError(f"threads must be >= 1, got {threads}")
-        self.pool = Executor("thread", max_workers=threads)
+        self.threads = threads
         self.states = [
             TaskState(task, registry, k=k, ts=ts, use_index=use_index, counters=OpCounters())
             for task in tasks
@@ -403,12 +404,13 @@ class ThreadedTaskLevelSolver:
         while True:
             if stale:
                 remaining = budget.remaining
-                jobs = {
-                    task_id: (lambda s=state, r=remaining: s.best_candidate(r))
-                    for task_id, state in stale.items()
-                }
-                results = self.pool.run_jobs(jobs)
-                candidates.update(results)
+                with ThreadPoolExecutor(
+                    max_workers=self.threads, thread_name_prefix="tcsc-worker"
+                ) as pool:
+                    found = list(
+                        pool.map(lambda s: s.best_candidate(remaining), stale.values())
+                    )
+                candidates.update(zip(stale, found))
                 stale = {}
             live = [
                 (candidate, task_id)

@@ -47,13 +47,7 @@ On top of the record stream sits the trace analytics engine:
 from repro.obs.causal import CriticalPath, Span, SpanGraph, causal_id
 from repro.obs.layer import Telemetry, TelemetryLayer
 from repro.obs.metrics import Counter, Gauge, LogHistogram, MetricsRegistry
-from repro.obs.profile import (
-    PhaseProfiler,
-    PhaseStat,
-    ProfiledLayer,
-    reset_profile_note,
-    run_profiled,
-)
+from repro.obs.profile import PhaseProfiler, PhaseStat, ProfiledLayer
 from repro.obs.query import TraceDivergence, TraceQuery, diff_traces
 from repro.obs.trace import (
     TraceRecorder,
@@ -83,6 +77,4 @@ __all__ = [
     "mask_timing",
     "masked_trace_bytes",
     "read_trace",
-    "reset_profile_note",
-    "run_profiled",
 ]

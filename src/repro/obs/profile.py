@@ -18,15 +18,10 @@ determinism policy, never gated.
 :class:`ProfiledLayer` wraps any other serving layer and attributes
 its hook time to one phase — the factory wraps the journal layer so
 durability's cost shows up as the ``journal`` phase.
-
-:func:`run_profiled` is the CLI's legacy ``--profile`` implementation
-(raw cProfile hotspots), kept as a deprecated spelling: phase
-attribution via ``--telemetry`` is the supported path.
 """
 
 from __future__ import annotations
 
-import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -38,8 +33,6 @@ __all__ = [
     "PhaseProfiler",
     "PhaseStat",
     "ProfiledLayer",
-    "reset_profile_note",
-    "run_profiled",
 ]
 
 
@@ -201,41 +194,3 @@ class ProfiledLayer(ServingLayer):
         with self.profiler.phase(self.phase_name, emit=False):
             self.inner.on_run_complete(metrics)
 
-
-#: Whether the ``--profile`` deprecation note already printed this
-#: process.  Suites re-enter the CLI handler many times per run; one
-#: note per invocation would drown their stderr in repeats of the
-#: same fact.
-_profile_note_printed = False
-
-
-def reset_profile_note() -> None:
-    """Re-arm the once-per-process deprecation note (for tests)."""
-    global _profile_note_printed
-    _profile_note_printed = False
-
-
-def run_profiled(handler, args) -> int:
-    """Run a CLI handler under cProfile; print the top-15 hotspots.
-
-    The legacy ``--profile`` output format (deprecated): raw cProfile
-    rows on stdout, unchanged for scripts that scrape them, plus a
-    one-line pointer at the phase-attributed replacement on stderr —
-    printed exactly once per process, however many handlers run.
-    """
-    import cProfile
-    import pstats
-
-    global _profile_note_printed
-    if not _profile_note_printed:
-        _profile_note_printed = True
-        print(
-            "note: --profile prints raw cProfile output (deprecated); "
-            "--telemetry / trace-report give phase-attributed timings",
-            file=sys.stderr,
-        )
-    profiler = cProfile.Profile()
-    code = profiler.runcall(handler, args)
-    stats = pstats.Stats(profiler, stream=sys.stdout)
-    stats.sort_stats("cumulative").print_stats(15)
-    return code

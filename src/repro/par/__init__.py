@@ -1,4 +1,4 @@
-"""Real parallelism: the process/thread shard executor (PR 10).
+"""Real parallelism: the process-pool shard executor.
 
 Every speedup before this package was either algorithmic (numpy +
 CELF) or *modeled* (the :class:`~repro.parallel.simcluster.SimCluster`
@@ -10,8 +10,8 @@ reconciliation / metric-merge protocols — byte-identical to the serial
 paths in plan signature, :class:`~repro.stream.metrics.StreamMetrics`,
 and :class:`~repro.core.instrumentation.OpCounters`.
 
-* :class:`~repro.par.executor.Executor` — the ``serial | thread |
-  process`` abstraction, spec-driven via ``RunSpec.executor`` +
+* :class:`~repro.par.executor.Executor` — the ``serial | process``
+  abstraction, spec-driven via ``RunSpec.executor`` +
   ``RunSpec.max_workers``.
 * :mod:`repro.par.work` — JSON work-unit codecs and the top-level
   worker-process entry points (plain shard solves and stream shard

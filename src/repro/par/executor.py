@@ -1,19 +1,20 @@
-"""The ``serial | thread | process`` executor abstraction.
+"""The ``serial | process`` executor abstraction.
 
 One :class:`Executor` decides *where* a batch of independent work runs:
 
 * ``serial`` — inline, in submission order.  The reference: every
-  identity gate compares the other kinds against it.
-* ``thread`` — real ``threading`` threads (named ``tcsc-worker-<i>``,
-  the Figure 5 master/worker demonstration).  The GIL serializes the
-  bytecode, so this kind proves concurrency-correctness, not speed.
+  identity gate compares the process kind against it.
 * ``process`` — a :class:`concurrent.futures.ProcessPoolExecutor`.
   Work must be submitted as JSON strings through :meth:`map_units`
   with a *module-level* unit function (:mod:`repro.par.work`), so
   nothing pickle-dependent ever crosses the boundary.
 
-Determinism: :meth:`map_units` and :meth:`run_jobs` always return
-results in submission order, whatever order the workers finish in.
+There is no thread kind: the GIL serializes the solvers' bytecode, and
+a thread pool measured 0.38-1.04x against serial on the committed
+``bench-par`` cells (DESIGN.md §14).
+
+Determinism: :meth:`map_units` always returns results in submission
+order, whatever order the workers finish in.
 
 ``persistent=True`` keeps the process pool warm across calls — the
 bench suite sweeps many runs and should pay the fork cost once; the
@@ -23,9 +24,7 @@ one-shot runtime paths use a per-call pool so nothing leaks.
 from __future__ import annotations
 
 import os
-import queue
-import threading
-from typing import Any, Callable, Hashable, Sequence
+from typing import Callable, Sequence
 
 from repro.errors import ConfigurationError
 
@@ -36,7 +35,7 @@ __all__ = [
     "validate_max_workers",
 ]
 
-EXECUTOR_KINDS = ("serial", "thread", "process")
+EXECUTOR_KINDS = ("serial", "process")
 
 
 def validate_max_workers(max_workers: int) -> int:
@@ -54,7 +53,7 @@ def validate_max_workers(max_workers: int) -> int:
 
 
 class Executor:
-    """Run independent work units serially, on threads, or in processes."""
+    """Run independent work units serially or in worker processes."""
 
     def __init__(
         self,
@@ -78,12 +77,9 @@ class Executor:
     # ------------------------------------------------------------------
     # Sizing
     # ------------------------------------------------------------------
-    def _width(self, units: int) -> int:
-        """Worker count for a batch of ``units`` submissions."""
-        cap = self.max_workers
-        if cap is None:
-            cap = (os.cpu_count() or 1) if self.kind == "process" else units
-        return max(1, min(units, cap))
+    def _cap(self) -> int:
+        """Pool width: ``max_workers``, else the host's CPU count."""
+        return self.max_workers or (os.cpu_count() or 1)
 
     # ------------------------------------------------------------------
     # JSON work units (module-level unit functions; process-safe)
@@ -101,13 +97,6 @@ class Executor:
             return []
         if self.kind == "serial":
             return [fn(payload) for payload in payloads]
-        if self.kind == "thread":
-            return self._run_thunks(
-                [(lambda p=payload: fn(p)) for payload in payloads]
-            )
-        return self._map_in_processes(fn, payloads)
-
-    def _map_in_processes(self, fn, payloads: list) -> list:
         from concurrent.futures import ProcessPoolExecutor
 
         if self.persistent:
@@ -115,69 +104,11 @@ class Executor:
                 # Sized by the cap, not the first batch: a warm pool
                 # outlives many differently-sized sweeps, and a small
                 # first call must not pin its width for the large ones.
-                cap = self.max_workers or (os.cpu_count() or 1)
-                self._pool = ProcessPoolExecutor(max_workers=cap)
+                self._pool = ProcessPoolExecutor(max_workers=self._cap())
             return list(self._pool.map(fn, payloads))
-        with ProcessPoolExecutor(max_workers=self._width(len(payloads))) as pool:
+        width = min(len(payloads), self._cap())
+        with ProcessPoolExecutor(max_workers=width) as pool:
             return list(pool.map(fn, payloads))
-
-    # ------------------------------------------------------------------
-    # In-process jobs (the MasterWorkerPool surface)
-    # ------------------------------------------------------------------
-    def run_jobs(
-        self, jobs: dict[Hashable, Callable[[], Any]]
-    ) -> dict[Hashable, Any]:
-        """Execute ``{owner: thunk}`` and return ``{owner: result}``.
-
-        Closures cannot cross a process boundary, so the ``process``
-        kind rejects this surface with a typed error — ship JSON units
-        through :meth:`map_units` instead.
-        """
-        if self.kind == "process":
-            raise ConfigurationError(
-                "process executors ship JSON work units, not closures; "
-                "encode the work with repro.par.work and use map_units"
-            )
-        owners = list(jobs)
-        if self.kind == "serial":
-            return {owner: jobs[owner]() for owner in owners}
-        values = self._run_thunks([jobs[owner] for owner in owners])
-        return dict(zip(owners, values))
-
-    def _run_thunks(self, thunks: list) -> list:
-        """Drain thunks on named worker threads; first error re-raised."""
-        work: queue.Queue = queue.Queue()
-        for index, thunk in enumerate(thunks):
-            work.put((index, thunk))
-        results: list = [None] * len(thunks)
-        errors: list[BaseException] = []
-        lock = threading.Lock()
-
-        def worker():
-            while True:
-                try:
-                    index, thunk = work.get_nowait()
-                except queue.Empty:
-                    return
-                try:
-                    value = thunk()
-                    with lock:
-                        results[index] = value
-                except BaseException as exc:  # noqa: BLE001 - re-raised below
-                    with lock:
-                        errors.append(exc)
-
-        threads = [
-            threading.Thread(target=worker, name=f"tcsc-worker-{i}", daemon=True)
-            for i in range(self._width(len(thunks)))
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if errors:
-            raise errors[0]
-        return results
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -4,7 +4,7 @@
 :meth:`~repro.shard.streaming.ShardedStreamingServer._drain` when the
 server carries an :class:`~repro.par.executor.Executor`: each shard's
 routed sub-trace becomes a JSON work unit (:mod:`repro.par.work`), the
-executor runs the units wherever it runs (inline, threads, worker
+executor runs the units wherever it runs (inline or in worker
 processes), and the returned exact snapshots are restored into the
 parent's matching cores **in shard-id order** — so plan signatures,
 :class:`~repro.stream.metrics.StreamMetrics`, op counters, and the

@@ -1,20 +1,18 @@
-"""Parallel-execution substrate.
+"""Parallel-execution substrate: the virtual-clock cluster.
 
 CPython's GIL makes real CPU-parallel speedups unobservable for the
-pure-Python solvers, so the multi-task parallel framework of Section IV
-runs on two interchangeable backends:
+pure-Python solvers' threads, so the multi-task parallel framework of
+Section IV is timed on :mod:`repro.parallel.simcluster` — a
+deterministic *virtual-clock* multi-core simulator: work items carry
+virtual costs (derived from the solvers' operation counters) and the
+cluster computes round makespans for any core count.  This is what
+reproduces the paper's time-vs-cores curves (Fig. 9a/f) on any host.
 
-* :mod:`repro.parallel.simcluster` — a deterministic *virtual-clock*
-  multi-core simulator: work items carry virtual costs (derived from
-  the solvers' operation counters) and the cluster computes round
-  makespans for any core count.  This is what reproduces the paper's
-  time-vs-cores curves (Fig. 9a/f) on any host.
-* :mod:`repro.parallel.threadpool` — a real ``threading`` pool used by
-  the functional tests to demonstrate the master/worker message
-  protocol with actual concurrency.
+The master/worker message protocol on real threads is
+:class:`~repro.multi.scheduler.ThreadedTaskLevelSolver`; real cores
+for per-shard work are the ``process`` executor of :mod:`repro.par`.
 """
 
 from repro.parallel.simcluster import SimCluster, WorkItem
-from repro.parallel.threadpool import MasterWorkerPool
 
-__all__ = ["MasterWorkerPool", "SimCluster", "WorkItem"]
+__all__ = ["SimCluster", "WorkItem"]

@@ -32,9 +32,9 @@ Quickstart::
     outcome = build_runtime(spec).run()
     print(outcome.report_text)
 
-The legacy class spellings (``JournaledStreamingServer``,
-``JournaledShardedStreamingServer``) keep working as thin deprecation
-shims over the same composition.
+Per-shard work runs where ``RunSpec.executor`` says: ``serial``
+(inline, the byte-identical reference) or ``process`` (a process pool
+fed exact JSON work units; see :mod:`repro.par`).
 """
 
 from repro.runtime.factory import (
@@ -49,11 +49,7 @@ from repro.runtime.factory import (
     build_single_task_solver,
     recover_runtime,
 )
-from repro.runtime.layers import (
-    ServingLayer,
-    reset_deprecation_warnings,
-    warn_deprecated,
-)
+from repro.runtime.layers import ServingLayer
 from repro.runtime.spec import (
     SEARCH_MODES,
     SERVING_MODES,
@@ -79,6 +75,4 @@ __all__ = [
     "build_serving_solver",
     "build_single_task_solver",
     "recover_runtime",
-    "reset_deprecation_warnings",
-    "warn_deprecated",
 ]

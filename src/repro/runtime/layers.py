@@ -33,9 +33,7 @@ a layered run's ``plan_signature()``, ``StreamMetrics``, and
 
 from __future__ import annotations
 
-import warnings
-
-__all__ = ["ServingLayer", "warn_deprecated", "reset_deprecation_warnings"]
+__all__ = ["ServingLayer"]
 
 
 class ServingLayer:
@@ -62,25 +60,3 @@ class ServingLayer:
     def on_run_complete(self, metrics) -> None:
         """Called once the trace is drained and realized."""
 
-
-#: Legacy class names already warned about this process (one warning
-#: per name, however many shim instances a sweep constructs).
-_warned: set[str] = set()
-
-
-def warn_deprecated(name: str, replacement: str) -> None:
-    """Emit one :class:`DeprecationWarning` per legacy name per process."""
-    if name in _warned:
-        return
-    _warned.add(name)
-    warnings.warn(
-        f"{name} is deprecated; build the equivalent runtime with "
-        f"{replacement} (see repro.runtime)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def reset_deprecation_warnings() -> None:
-    """Forget which names warned (tests assert the once-semantics)."""
-    _warned.clear()

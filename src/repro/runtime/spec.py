@@ -218,11 +218,10 @@ class RunSpec:
     migrate_queue_low: int = 2
     # Real parallelism (the PR-10 knobs; ``repro.par``): where per-shard
     # work runs.  ``executor`` selects the kind — ``"serial"`` (inline,
-    # the byte-identical reference), ``"thread"`` (GIL-bound threads,
-    # concurrency-correctness proof), or ``"process"`` (a process pool;
+    # the byte-identical reference) or ``"process"`` (a process pool;
     # work units cross the boundary via the exact JSON snapshot codec).
-    # ``max_workers`` caps the pool width (default: one worker per
-    # shard for threads, the host CPU count for processes).
+    # ``max_workers`` caps the pool width (default: the host CPU
+    # count, never more than one worker per shard).
     executor: str = "serial"
     max_workers: int | None = None
 
@@ -498,8 +497,7 @@ class RunSpec:
             if self.executor == "serial":
                 raise SpecError(
                     "max_workers sizes the executor's worker pool; it "
-                    "requires executor='thread' or 'process' (got "
-                    "executor='serial')"
+                    "requires executor='process' (got executor='serial')"
                 )
         if self.executor != "serial":
             if self.mode == "batch":

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,8 @@ from repro.bench.collect import (
     unrecognized_artifacts,
 )
 from repro.errors import ConfigurationError
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
 class TestLineChart:
@@ -152,6 +155,9 @@ class TestCollect:
         for pattern, collector in COLLECTORS.values():
             assert pattern.endswith("*.json")
             assert callable(collector)
+        # Every registered artifact is committed: docs and CI link them.
+        missing = sorted(n for n in COLLECTORS if not (BENCHMARKS / n).is_file())
+        assert missing == []
 
     def test_unrecognized_artifacts_detected(self, tmp_path):
         (tmp_path / "BENCH_stream.json").write_text("{}\n")

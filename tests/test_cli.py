@@ -42,12 +42,9 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["simulate", "--index-mode", "magic"])
 
-    def test_backend_and_profile_flags(self):
+    def test_backend_flag(self):
         args = build_parser().parse_args(["solve-single", "--backend", "numpy"])
         assert args.backend == "numpy"
-        assert args.profile is False
-        args = build_parser().parse_args(["simulate", "--profile"])
-        assert args.profile is True
 
     def test_rejects_unknown_backend(self):
         with pytest.raises(SystemExit):
@@ -62,7 +59,6 @@ class TestParser:
         args = build_parser().parse_args(["bench-shard"])
         assert args.smoke is False
         assert args.backend == "python"
-        assert args.profile is False
         args = build_parser().parse_args(
             ["bench-shard", "--smoke", "--backend", "numpy"]
         )
@@ -196,13 +192,6 @@ class TestCommands:
               "--backend", "numpy"])
         numpy_out = capsys.readouterr().out
         assert python_out == numpy_out
-
-    def test_profile_prints_hotspots(self, capsys):
-        code = main(["solve-single", "--slots", "20", "--workers", "60", "--profile"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "cumulative" in out
-        assert "function calls" in out
 
     def test_simulate_numpy_backend(self, capsys):
         code = main(

@@ -15,8 +15,18 @@ import json
 import pytest
 
 from repro.errors import JournalReplayError
-from repro.journal.server import CrashBudget, InjectedCrash, JournaledStreamingServer
-from repro.journal.sharded import JournaledShardedStreamingServer
+from repro.journal.layer import (
+    CrashBudget,
+    InjectedCrash,
+    journal_layer,
+    journaled_server,
+    recover_server,
+)
+from repro.journal.sharded import (
+    recover_sharded_server,
+    resume_sharded,
+    sharded_journaled_server,
+)
 from repro.journal.wal import Journal, WriteAheadLog, _frame
 from repro.shard.streaming import ShardedStreamingServer
 from repro.stream.online_server import StreamingTCSCServer
@@ -59,9 +69,14 @@ def _clean_run(trace, backend: str):
     return metrics, server.assignment().plan_signature()
 
 
+def _resume(server, events):
+    """Resume a recovered core through its journal layer."""
+    return journal_layer(server).resume_with_trace(events)
+
+
 def _crash_at(trace, tmp_path, boundary, backend, *, phase="apply", snapshot_every=2):
     jdir = tmp_path / f"crash-{backend}-{phase}-{boundary}"
-    server = JournaledStreamingServer(
+    server = journaled_server(
         trace.bbox,
         journal=jdir,
         snapshot_every=snapshot_every,
@@ -83,8 +98,8 @@ class TestPlainRecovery:
         assert len(ref_sig) > 5  # the trace must actually commit work
         for boundary in range(len(trace.events)):
             jdir = _crash_at(trace, tmp_path, boundary, backend)
-            recovered = JournaledStreamingServer.recover(jdir)
-            metrics = recovered.resume_with_trace(list(trace.events))
+            recovered = recover_server(jdir)
+            metrics = _resume(recovered, list(trace.events))
             assert metrics == ref_metrics, f"boundary {boundary} diverged"
             assert recovered.assignment().plan_signature() == ref_sig
             assert metrics.counters == ref_metrics.counters
@@ -94,14 +109,14 @@ class TestPlainRecovery:
         ref_metrics, ref_sig = _clean_run(trace, "python")
         for boundary in (1, 7, len(trace.events) // 2):
             jdir = _crash_at(trace, tmp_path, boundary, "python", phase="append")
-            recovered = JournaledStreamingServer.recover(jdir)
-            metrics = recovered.resume_with_trace(list(trace.events))
+            recovered = recover_server(jdir)
+            metrics = _resume(recovered, list(trace.events))
             assert metrics == ref_metrics
             assert recovered.assignment().plan_signature() == ref_sig
 
     def test_journaling_adds_zero_op_count_overhead(self, trace, tmp_path):
         ref_metrics, ref_sig = _clean_run(trace, "python")
-        server = JournaledStreamingServer(
+        server = journaled_server(
             trace.bbox,
             journal=tmp_path / "uninterrupted",
             snapshot_every=2,
@@ -113,21 +128,22 @@ class TestPlainRecovery:
         assert metrics == ref_metrics
         assert metrics.counters == ref_metrics.counters
         assert server.assignment().plan_signature() == ref_sig
-        assert server.journal.wal.records_appended > len(trace.events)
-        assert server.journal.snapshots_written > 0
+        journal = journal_layer(server).journal
+        assert journal.wal.records_appended > len(trace.events)
+        assert journal.snapshots_written > 0
 
     def test_snapshot_shortens_replay(self, trace, tmp_path):
         """A late crash recovers from a snapshot, replaying only the
         log suffix rather than the whole history."""
         boundary = len(trace.events) - 1
         jdir = _crash_at(trace, tmp_path, boundary, "python", snapshot_every=2)
-        recovered = JournaledStreamingServer.recover(jdir)
-        info = recovered.recovery
+        recovered = recover_server(jdir)
+        info = journal_layer(recovered).recovery
         assert info.snapshot_loaded
         assert info.events_restored + info.events_replayed == boundary
         assert info.events_replayed < boundary
         ref_metrics, _ = _clean_run(trace, "python")
-        assert recovered.resume_with_trace(list(trace.events)) == ref_metrics
+        assert _resume(recovered, list(trace.events)) == ref_metrics
 
     def test_recovery_after_compaction(self, trace, tmp_path):
         """Compacting the log behind the newest snapshot preserves
@@ -137,9 +153,9 @@ class TestPlainRecovery:
         journal = Journal(jdir)
         journal.open_for_resume()
         assert journal.compact() > 0
-        recovered = JournaledStreamingServer.recover(jdir)
+        recovered = recover_server(jdir)
         ref_metrics, ref_sig = _clean_run(trace, "python")
-        assert recovered.resume_with_trace(list(trace.events)) == ref_metrics
+        assert _resume(recovered, list(trace.events)) == ref_metrics
         assert recovered.assignment().plan_signature() == ref_sig
 
     def test_double_crash_after_compaction_with_empty_suffix(self, trace, tmp_path):
@@ -156,23 +172,24 @@ class TestPlainRecovery:
             journal = Journal(jdir)
             journal.open_for_resume()
             journal.compact()
-            recovered = JournaledStreamingServer.recover(jdir)
-            if not recovered._replay:
+            recovered = recover_server(jdir)
+            if not journal_layer(recovered)._replay:
                 break
         else:
             pytest.fail("no snapshot-covered crash boundary in the trace")
         # Resume, but crash again shortly after recovery.
-        recovered._crash = CrashBudget(recovered.replayed_event_count + 4)
+        layer = journal_layer(recovered)
+        layer._crash = CrashBudget(layer.replayed_event_count + 4)
         with pytest.raises(InjectedCrash):
-            recovered.resume_with_trace(list(trace.events))
+            _resume(recovered, list(trace.events))
         # The second recovery must still be exact.
-        recovered = JournaledStreamingServer.recover(jdir)
-        assert recovered.resume_with_trace(list(trace.events)) == ref_metrics
+        recovered = recover_server(jdir)
+        assert _resume(recovered, list(trace.events)) == ref_metrics
         assert recovered.assignment().plan_signature() == ref_sig
 
     def test_completed_journal_resumes_idempotently(self, trace, tmp_path):
         ref_metrics, ref_sig = _clean_run(trace, "python")
-        server = JournaledStreamingServer(
+        server = journaled_server(
             trace.bbox,
             journal=tmp_path / "done",
             snapshot_every=2,
@@ -181,9 +198,9 @@ class TestPlainRecovery:
             **SERVER_KWARGS,
         )
         server.run(list(trace.events))
-        recovered = JournaledStreamingServer.recover(tmp_path / "done")
-        assert recovered.recovery.events_replayed == 0
-        assert recovered.resume_with_trace(list(trace.events)) == ref_metrics
+        recovered = recover_server(tmp_path / "done")
+        assert journal_layer(recovered).recovery.events_replayed == 0
+        assert _resume(recovered, list(trace.events)) == ref_metrics
         assert recovered.assignment().plan_signature() == ref_sig
 
     def test_resume_with_mismatched_trace_raises_typed(self, trace, tmp_path):
@@ -198,13 +215,13 @@ class TestPlainRecovery:
                 budget_refresh_interval=6.0, budget_refresh_amount=4.0,
             )
         )
-        recovered = JournaledStreamingServer.recover(jdir)
+        recovered = recover_server(jdir)
         with pytest.raises(JournalReplayError):
-            recovered.resume_with_trace(list(other.events))
+            _resume(recovered, list(other.events))
         # A too-short trace is equally rejected.
-        recovered = JournaledStreamingServer.recover(jdir)
+        recovered = recover_server(jdir)
         with pytest.raises(JournalReplayError):
-            recovered.resume_with_trace(list(trace.events)[:3])
+            _resume(recovered, list(trace.events)[:3])
 
     def test_tampered_commit_record_raises_typed(self, trace, tmp_path):
         """Replay that regenerates a different record than the log
@@ -220,9 +237,9 @@ class TestPlainRecovery:
         with open(wal_path, "wb") as fh:
             for record in records:
                 fh.write(_frame(record))
-        recovered = JournaledStreamingServer.recover(jdir)
+        recovered = recover_server(jdir)
         with pytest.raises(JournalReplayError):
-            recovered.resume_with_trace(list(trace.events))
+            _resume(recovered, list(trace.events))
 
 
 class TestShardedRecovery:
@@ -241,7 +258,7 @@ class TestShardedRecovery:
         boundary = 0
         while True:
             jdir = tmp_path / f"s{num_shards}-{boundary}"
-            crashed = JournaledShardedStreamingServer(
+            crashed = sharded_journaled_server(
                 trace.bbox,
                 journal_root=jdir,
                 num_shards=num_shards,
@@ -254,8 +271,8 @@ class TestShardedRecovery:
                 break  # budget outlived the run: every boundary swept
             except InjectedCrash:
                 pass
-            recovered = JournaledShardedStreamingServer.recover(jdir)
-            metrics = recovered.resume(list(trace.events))
+            recovered = recover_sharded_server(jdir)
+            metrics = resume_sharded(recovered, list(trace.events))
             assert metrics.per_shard == ref_metrics.per_shard, (
                 f"shards={num_shards} boundary {boundary} diverged"
             )
@@ -270,7 +287,7 @@ class TestShardedRecovery:
     def test_one_shard_equals_plain_server(self, trace, tmp_path):
         plain = StreamingTCSCServer(trace.bbox, **SERVER_KWARGS)
         plain_metrics = plain.run(list(trace.events))
-        sharded = JournaledShardedStreamingServer(
+        sharded = sharded_journaled_server(
             trace.bbox,
             journal_root=tmp_path / "one",
             num_shards=1,
@@ -283,7 +300,7 @@ class TestShardedRecovery:
 
     def test_recovered_metadata_round_trip(self, trace, tmp_path):
         root = tmp_path / "meta"
-        JournaledShardedStreamingServer(
+        sharded_journaled_server(
             trace.bbox,
             journal_root=root,
             num_shards=2,
@@ -293,6 +310,6 @@ class TestShardedRecovery:
         meta = json.loads((root / "meta.json").read_text())
         assert meta["num_shards"] == 2
         assert meta["snapshot_every"] == 3
-        recovered = JournaledShardedStreamingServer.recover(root)
+        recovered = recover_sharded_server(root)
         assert recovered.num_shards == 2
         assert recovered.halo_margin == meta["halo_margin"]

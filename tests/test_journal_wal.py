@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import repro.journal
 from repro.errors import JournalCorruptionError
 from repro.geo.point import Point
 from repro.journal.wal import Journal, WriteAheadLog, decode_event, encode_event
@@ -105,9 +106,14 @@ class TestWriteAheadLog:
 
     def test_missing_wal_raises_typed(self, tmp_path):
         """Recovering from a wrong/empty path (e.g. a sharded journal
-        root, or a typo) must not surface a raw FileNotFoundError."""
-        with pytest.raises(JournalCorruptionError):
+        root, or a typo) must not surface a raw FileNotFoundError, and
+        the message must name recovery entry points that exist."""
+        with pytest.raises(JournalCorruptionError) as info:
             Journal(tmp_path / "nothing-here").open_for_resume()
+        message = str(info.value)
+        assert "recover_sharded_server" in message
+        assert callable(repro.journal.recover_sharded_server)
+        assert "RunSpec(shards=N, journal=...)" in message
 
 
 class TestSnapshots:

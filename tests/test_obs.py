@@ -388,38 +388,6 @@ class TestProfiledLayer:
         assert layer.inner is inner
 
 
-class TestProfileDeprecationNote:
-    """The --profile stderr pointer fires exactly once per process."""
-
-    NOTE = "note: --profile prints raw cProfile output (deprecated)"
-
-    def test_note_prints_once_across_invocations(self, capsys):
-        from repro.obs import reset_profile_note, run_profiled
-
-        reset_profile_note()
-        assert run_profiled(lambda args: 0, None) == 0
-        assert run_profiled(lambda args: 0, None) == 0
-        captured = capsys.readouterr()
-        assert captured.err.count(self.NOTE) == 1
-        # The scrapeable cProfile rows still print for every run.
-        assert captured.out.count("function calls") == 2
-
-    def test_reset_rearms_the_note(self, capsys):
-        from repro.obs import reset_profile_note, run_profiled
-
-        reset_profile_note()
-        run_profiled(lambda args: 0, None)
-        reset_profile_note()
-        run_profiled(lambda args: 0, None)
-        assert capsys.readouterr().err.count(self.NOTE) == 2
-
-    def test_handler_return_code_passes_through(self, capsys):
-        from repro.obs import reset_profile_note, run_profiled
-
-        reset_profile_note()
-        assert run_profiled(lambda args: 3, None) == 3
-
-
 class TestTelemetryEndToEnd:
     def test_stream_run_attaches_telemetry(self):
         outcome = build_runtime(STREAM_SPEC.replace(telemetry=True)).run()
@@ -566,17 +534,3 @@ class TestCLI:
     def test_trace_report_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["trace-report", str(tmp_path / "nope.jsonl")]) == 2
         assert "nope.jsonl" in capsys.readouterr().err
-
-    def test_profile_flag_points_at_telemetry(self, capsys):
-        """Satellite 1: the legacy --profile shim stays scrapable on
-        stdout and advertises the replacement on stderr."""
-        from repro.obs import reset_profile_note
-
-        reset_profile_note()  # the note is once-per-process
-        code = main(["solve-single", "--slots", "20", "--workers", "50",
-                     "--profile"])
-        assert code == 0
-        captured = capsys.readouterr()
-        assert "cumulative" in captured.out
-        assert "deprecated" in captured.err
-        assert "--telemetry" in captured.err

@@ -1,4 +1,4 @@
-"""Tests for ``repro.par``: the serial/thread/process executor.
+"""Tests for ``repro.par``: the serial/process executor.
 
 The subsystem's contract is byte-identity — an executor may only
 change *where* a shard's solve runs, never what it computes — so most
@@ -6,24 +6,26 @@ of this file compares executor arms against the serial reference:
 plans, per-shard metrics, OpCounters, masked telemetry traces, and
 (via hypothesis) the snapshot-codec round trip across a real process
 boundary.  The rest pins the typed rejection surface: uncomposable
-spec pairings, zero-width pools, and the deprecated
-``MasterWorkerPool`` shim.
+spec pairings, zero-width pools, and unknown (or retired) executor
+kinds.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ConfigurationError, SchedulingError, SpecError
+from repro.errors import ConfigurationError, SpecError
 from repro.obs.trace import masked_trace_bytes
 from repro.par import EXECUTOR_KINDS, Executor, executor_from_spec, validate_max_workers
 from repro.runtime import RunSpec, WorkloadSpec, build_serving_solver
 from repro.runtime.factory import StreamRuntime
 from repro.workloads.scenario import ScenarioConfig, build_scenario
+
+#: Every kind an identity gate compares against the serial reference.
+PARALLEL_KINDS = [kind for kind in EXECUTOR_KINDS if kind != "serial"]
 
 _STREAM = RunSpec(
     mode="stream",
@@ -80,11 +82,7 @@ class TestExecutor:
         with pytest.raises(ConfigurationError, match="max_workers must be >= 1"):
             validate_max_workers(0)
         with pytest.raises(ConfigurationError, match="got -2"):
-            Executor("thread", max_workers=-2)
-
-    def test_process_rejects_closures(self):
-        with pytest.raises(ConfigurationError, match="JSON work units"):
-            Executor("process").run_jobs({0: lambda: 1})
+            Executor("process", max_workers=-2)
 
     @pytest.mark.parametrize("kind", EXECUTOR_KINDS)
     def test_map_units_preserves_order(self, kind):
@@ -93,25 +91,20 @@ class TestExecutor:
             # into a worker process.
             assert executor.map_units(len, ["ccc", "bb", "a", ""]) == [3, 2, 1, 0]
 
-    def test_thread_jobs_match_serial(self):
-        jobs = {owner: (lambda o=owner: o * o) for owner in range(7)}
-        serial = Executor("serial").run_jobs(jobs)
-        threaded = Executor("thread", max_workers=3).run_jobs(jobs)
-        assert threaded == serial
-
     def test_worker_errors_propagate(self):
-        def boom():
-            raise ValueError("shard 3 exploded")
-
+        # int is importable anywhere; the bad literal raises inside a
+        # worker process and must surface in the parent.
         with pytest.raises(ValueError, match="shard 3 exploded"):
-            Executor("thread", max_workers=2).run_jobs({0: boom})
+            Executor("process", max_workers=2).map_units(
+                int, ["1", "shard 3 exploded"]
+            )
 
     def test_spec_resolution(self):
         assert executor_from_spec(RunSpec()) is None
         executor = executor_from_spec(
-            RunSpec(mode="stream", executor="thread", max_workers=4)
+            RunSpec(mode="stream", executor="process", max_workers=4)
         )
-        assert (executor.kind, executor.max_workers) == ("thread", 4)
+        assert (executor.kind, executor.max_workers) == ("process", 4)
 
     def test_close_is_idempotent(self):
         executor = Executor("process", persistent=True)
@@ -121,14 +114,16 @@ class TestExecutor:
 
 
 class TestSpecPairings:
-    def test_unknown_executor_kind(self):
-        with pytest.raises(SpecError, match="serial.*thread.*process"):
-            RunSpec(executor="fiber").validate()
+    # "thread" is the retired GIL-bound kind: rejected like any other.
+    @pytest.mark.parametrize("kind", ["fiber", "thread"])
+    def test_unknown_executor_kind(self, kind):
+        with pytest.raises(SpecError, match=r"\('serial', 'process'\)"):
+            RunSpec(mode="stream", executor=kind).validate()
 
     def test_zero_max_workers(self):
         with pytest.raises(SpecError, match="max_workers"):
             RunSpec(
-                mode="stream", executor="thread", max_workers=0
+                mode="stream", executor="process", max_workers=0
             ).validate()
 
     def test_max_workers_requires_executor(self):
@@ -159,7 +154,7 @@ class TestSpecPairings:
 
 class TestPlainIdentity:
     @pytest.mark.parametrize("shards", [1, 2, 4])
-    @pytest.mark.parametrize("kind", ["thread", "process"])
+    @pytest.mark.parametrize("kind", PARALLEL_KINDS)
     def test_byte_identical_to_serial(self, plain_scenario, kind, shards):
         reference = _plain_report(plain_scenario, "serial", shards)
         report = _plain_report(plain_scenario, kind, shards)
@@ -173,7 +168,7 @@ class TestPlainIdentity:
 
 class TestStreamIdentity:
     @pytest.mark.parametrize("shards", [1, 2])
-    @pytest.mark.parametrize("kind", ["thread", "process"])
+    @pytest.mark.parametrize("kind", PARALLEL_KINDS)
     def test_byte_identical_to_serial(self, kind, shards):
         reference = _stream_outcome(_STREAM.replace(shards=shards))
         outcome = _stream_outcome(
@@ -183,7 +178,7 @@ class TestStreamIdentity:
 
 
 class TestTelemetryMerge:
-    @pytest.mark.parametrize("kind", ["thread", "process"])
+    @pytest.mark.parametrize("kind", PARALLEL_KINDS)
     def test_masked_trace_and_registry_match_serial(self, kind):
         spec = _STREAM.replace(shards=2, telemetry=True)
         reference = _stream_outcome(spec)
@@ -223,46 +218,6 @@ class TestProcessRoundTrip:
         assert _stream_evidence(outcome) == _stream_evidence(reference)
 
 
-class TestThreadpoolShim:
-    def test_warns_once_per_process(self):
-        from repro.parallel.threadpool import (
-            MasterWorkerPool,
-            reset_deprecation_warning,
-        )
-
-        reset_deprecation_warning()
-        with pytest.warns(DeprecationWarning, match="repro.par.Executor"):
-            MasterWorkerPool(2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            MasterWorkerPool(2)  # second construction stays silent
-
-    def test_zero_threads_still_scheduling_error(self):
-        from repro.parallel.threadpool import (
-            MasterWorkerPool,
-            reset_deprecation_warning,
-        )
-
-        reset_deprecation_warning()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            # The historical rejection fires before the deprecation
-            # warning: failing constructors must not burn the
-            # once-per-process warning.
-            with pytest.raises(SchedulingError):
-                MasterWorkerPool(0)
-
-    def test_results_match_executor(self):
-        from repro.parallel.threadpool import MasterWorkerPool
-
-        jobs = {owner: (lambda o=owner: o + 10) for owner in range(5)}
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert MasterWorkerPool(2).run(jobs) == Executor(
-                "thread", max_workers=2
-            ).run_jobs(jobs)
-
-
 _SIM_SMALL = [
     "simulate", "--seed", "7", "--horizon", "12", "--task-slots", "6",
     "--initial-workers", "10", "--join-rate", "0.3",
@@ -270,14 +225,16 @@ _SIM_SMALL = [
 
 
 class TestCLI:
-    def test_unknown_executor_is_spec_error_not_traceback(self, capsys):
+    @pytest.mark.parametrize("kind", ["fiber", "thread"])
+    def test_unknown_executor_is_spec_error_not_traceback(self, kind, capsys):
         from repro.__main__ import main
 
-        code = main([*_SIM_SMALL, "--executor", "fiber"])
+        code = main([*_SIM_SMALL, "--executor", kind])
         captured = capsys.readouterr()
         assert code == 2
-        assert "unknown executor" in captured.err
-        assert "Traceback" not in captured.err
+        assert captured.err.splitlines() == [
+            f"unknown executor {kind!r}; choose one of ('serial', 'process')"
+        ]
 
     def test_zero_max_workers_is_argparse_error(self, capsys):
         from repro.__main__ import build_parser

@@ -1,14 +1,11 @@
-"""Tests for the virtual-clock simulator and the real thread pool."""
+"""Tests for the virtual-clock multi-core simulator."""
 
 from __future__ import annotations
 
-import threading
-
 import pytest
 
-from repro.errors import ConfigurationError, SchedulingError
+from repro.errors import ConfigurationError
 from repro.parallel.simcluster import SimCluster, WorkItem
-from repro.parallel.threadpool import MasterWorkerPool
 
 
 class TestMakespan:
@@ -74,38 +71,3 @@ class TestSimCluster:
     def test_empty_utilization(self):
         assert SimCluster(2).utilization == 0.0
 
-
-class TestMasterWorkerPool:
-    def test_runs_all_jobs(self):
-        pool = MasterWorkerPool(3)
-        results = pool.run({i: (lambda i=i: i * i) for i in range(10)})
-        assert results == {i: i * i for i in range(10)}
-
-    def test_actually_uses_threads(self):
-        pool = MasterWorkerPool(4)
-        seen = set()
-        lock = threading.Lock()
-
-        def job():
-            with lock:
-                seen.add(threading.current_thread().name)
-            return True
-
-        pool.run({i: job for i in range(16)})
-        assert all(name.startswith("tcsc-worker-") for name in seen)
-
-    def test_propagates_exceptions(self):
-        pool = MasterWorkerPool(2)
-
-        def boom():
-            raise ValueError("kaput")
-
-        with pytest.raises(ValueError, match="kaput"):
-            pool.run({1: boom})
-
-    def test_empty_jobs(self):
-        assert MasterWorkerPool(2).run({}) == {}
-
-    def test_rejects_bad_thread_count(self):
-        with pytest.raises(SchedulingError):
-            MasterWorkerPool(0)

@@ -3,22 +3,17 @@
 Two contracts under test.  First, the layer seam itself: layers
 observe every hook in order and never perturb a run (byte-identical
 plan, metrics, and counters with or without a no-op layer).  Second,
-the deprecation shims: the legacy class spellings must keep producing
-exactly what the factory-built composition produces on a seeded
-scenario — plan signature and ``OpCounters`` included — while warning
-exactly once.
+the factory: the compositions it resolves agree with each other on a
+seeded scenario (plan-identical across shard counts, one forced shard
+equal to the plain streaming core), and attaching telemetry changes
+nothing it observes.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
 from repro.errors import SpecError
-from repro.journal.layer import journal_layer
-from repro.journal.sharded import JournaledShardedStreamingServer
-from repro.journal.server import JournaledStreamingServer
 from repro.runtime import (
     RunSpec,
     ServingLayer,
@@ -26,7 +21,6 @@ from repro.runtime import (
     WorkloadSpec,
     build_runtime,
     recover_runtime,
-    reset_deprecation_warnings,
 )
 from repro.stream.online_server import StreamingTCSCServer
 
@@ -190,70 +184,3 @@ class TestTelemetrySeam:
         # stayed identical: attribution without perturbation.
         assert "journal" in telemetered.telemetry.profiler(0).stats
 
-
-class TestDeprecationShims:
-    """Satellite: legacy constructors keep working, warn once, and are
-    byte-identical to the factory composition."""
-
-    def test_plain_journal_shim_matches_factory(self, tmp_path):
-        spec = STREAM_SPEC.replace(journal=str(tmp_path / "factory"))
-        factory = build_runtime(spec).run()
-
-        scenario = build_runtime(STREAM_SPEC).scenario()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            shim = JournaledStreamingServer(
-                scenario.bbox,
-                journal=tmp_path / "shim",
-                snapshot_every=spec.snapshot_every,
-                **_legacy_kwargs(spec),
-            )
-        shim_metrics = shim.run(list(scenario.events))
-
-        assert shim_metrics == factory.metrics
-        assert shim.assignment().plan_signature() == factory.plan_signature
-        assert shim_metrics.counters == factory.counters
-        # Both spellings drive the same layer implementation.
-        assert journal_layer(shim).journal.wal.records_appended == (
-            journal_layer(factory.server).journal.wal.records_appended
-        )
-
-    def test_sharded_journal_shim_matches_factory(self, tmp_path):
-        spec = STREAM_SPEC.replace(
-            shards=2, journal=str(tmp_path / "factory-sharded")
-        )
-        factory = build_runtime(spec).run()
-
-        scenario = build_runtime(STREAM_SPEC).scenario()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            shim = JournaledShardedStreamingServer(
-                scenario.bbox,
-                journal_root=tmp_path / "shim-sharded",
-                num_shards=2,
-                snapshot_every=spec.snapshot_every,
-                **_legacy_kwargs(spec),
-            )
-        shim_metrics = shim.run(list(scenario.events))
-
-        assert shim_metrics.per_shard == factory.metrics.per_shard
-        assert shim_metrics.makespan == factory.metrics.makespan
-        assert shim.assignment().plan_signature() == factory.plan_signature
-        assert [s.counters for s in shim.servers] == list(factory.counters)
-
-    def test_shims_warn_exactly_once_per_process(self, tmp_path):
-        reset_deprecation_warnings()
-        scenario = build_runtime(STREAM_SPEC).scenario()
-        with pytest.warns(DeprecationWarning, match="JournaledStreamingServer"):
-            JournaledStreamingServer(
-                scenario.bbox, journal=tmp_path / "w1",
-                **_legacy_kwargs(STREAM_SPEC),
-            )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            # Second construction: the shim must stay silent.
-            JournaledStreamingServer(
-                scenario.bbox, journal=tmp_path / "w2",
-                **_legacy_kwargs(STREAM_SPEC),
-            )
-        reset_deprecation_warnings()

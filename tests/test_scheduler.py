@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.errors import SchedulingError
 from repro.multi.msqm import SumQualityGreedy
 from repro.multi.scheduler import TaskLevelParallelSolver, ThreadedTaskLevelSolver
 from repro.multi.tables import ConflictingTable, HeartbeatTable, LoggingTable
+from repro.multi.task_state import TaskState
 from repro.workloads.scenario import ScenarioConfig, build_scenario
 
 
@@ -135,6 +138,46 @@ class TestThreadedSolver:
             threads=1,
         ).solve()
         assert result.plan_signature() == serial_plan.plan_signature()
+
+    def test_actually_uses_threads(self, scenario, monkeypatch):
+        seen = set()
+        lock = threading.Lock()
+        recompute = TaskState.best_candidate
+
+        def spy(state, remaining):
+            with lock:
+                seen.add(threading.current_thread().name)
+            return recompute(state, remaining)
+
+        monkeypatch.setattr(TaskState, "best_candidate", spy)
+        ThreadedTaskLevelSolver(
+            scenario.tasks,
+            scenario.fresh_registry(),
+            budget=shared_budget(scenario),
+            threads=4,
+        ).solve()
+        assert seen
+        assert all(name.startswith("tcsc-worker") for name in seen)
+
+    def test_propagates_exceptions(self, scenario, monkeypatch):
+        def boom(state, remaining):
+            raise ValueError("kaput")
+
+        monkeypatch.setattr(TaskState, "best_candidate", boom)
+        solver = ThreadedTaskLevelSolver(
+            scenario.tasks,
+            scenario.fresh_registry(),
+            budget=shared_budget(scenario),
+            threads=2,
+        )
+        with pytest.raises(ValueError, match="kaput"):
+            solver.solve()
+
+    def test_rejects_bad_thread_count(self, scenario):
+        with pytest.raises(SchedulingError):
+            ThreadedTaskLevelSolver(
+                scenario.tasks, scenario.fresh_registry(), budget=1.0, threads=0
+            )
 
 
 class TestTables:

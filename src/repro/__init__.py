@@ -18,18 +18,18 @@ one declarative :class:`RunSpec` names the workload, solver variant,
 serving mode, sharding, and durability, and
 :func:`~repro.runtime.build_runtime` assembles the stack as layers —
 capability pairings are spec fields, not subclasses, and
-``python -m repro matrix`` proves every composition byte-identical to
+``python -m repro bench matrix`` proves every composition byte-identical to
 the legacy class it replaced.  The *observability subsystem*
 (:mod:`repro.obs`) rides the same layer seam: structured
 deterministic trace records, a metrics registry with exact log2
 percentiles, and phase-attributed profiling — provably free
-(``python -m repro bench-obs`` gates telemetry-off byte-identity and
+(``python -m repro bench obs`` gates telemetry-off byte-identity and
 zero op-count overhead).  The *degradation subsystem*
 (:mod:`repro.degrade`) makes overload a first-class mode: certified
 bounded-candidate and quality-floor approximation, an SLO-aware
 exact → top-c → floor → shed ladder with deterministic hysteresis,
 and a fault-injection harness (flash crowds, region outages,
-op-budget slowdowns) — ``python -m repro bench-degrade`` gates
+op-budget slowdowns) — ``python -m repro bench degrade`` gates
 approx-off byte-identity, per-task certificate soundness, and
 degrading-beats-shedding useful work.
 

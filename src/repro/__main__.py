@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Sixteen subcommands cover the common workflows:
+Nine subcommands cover the common workflows:
 
 * ``run`` — execute one declarative :class:`~repro.runtime.RunSpec`
   (``--spec file.json``), the spec-driven face of the composable
@@ -18,46 +18,29 @@ Sixteen subcommands cover the common workflows:
   arrival processes; ``--index-mode`` picks incremental vs
   rebuild-every-epoch index maintenance).  Internally one
   ``RunSpec`` built from the flags.
-* ``matrix`` — the runtime equivalence matrix: sweeps
-  {plain, stream} x shards {1, 2, 4} x journal {off, on} x backend
-  {python, numpy}, hard-asserting that every composed runtime is
-  byte-identical (plan signature, stream metrics, op counters) to its
-  legacy-class counterpart; persisted as
-  ``benchmarks/BENCH_matrix.json``.
-* ``bench-perf`` — the deterministic perf suite: seed-pinned solver
-  scenarios comparing kernel backends and candidate-search modes,
-  persisted as ``benchmarks/BENCH_perf.json``.
-* ``bench-shard`` — the shard-scaling suite: seed-pinned serving
-  rounds through the halo-partitioned sharded coordinator at shard
-  counts 1/2/4/8, asserting byte-identical plans, persisted as
-  ``benchmarks/BENCH_shard.json``.
-* ``bench-journal`` — the durability suite: crash/recover at every
-  event boundary through the journaled runtimes (plain and sharded),
-  hard-asserting byte-identical recovered runs, persisted as
-  ``benchmarks/BENCH_journal.json``.
-* ``bench-degrade`` — the graceful-degradation suite: approx-off
-  byte-identity, certificate soundness (measured quality ratio >=
-  the certified ratio for every approximate plan), and
-  overload-useful-work gates under fault injection, persisted as
-  ``benchmarks/BENCH_degrade.json``.
+* ``bench SUITE`` — one system suite, each a set of seed-pinned
+  identity and op-count gates persisted as
+  ``benchmarks/BENCH_<SUITE>.json`` (``--smoke`` for the CI-sized
+  run): ``perf`` (kernel backends x candidate search), ``shard``
+  (plan identity at shard counts 1/2/4/8), ``par`` (cross-executor
+  byte-identity; wall clock vs the modeled makespan reported, never
+  gated), ``journal`` (crash/recover at every event boundary),
+  ``matrix`` (composed runtimes byte-identical to the legacy
+  classes), ``obs`` (telemetry never touches plans or counters),
+  ``degrade`` (approx-off identity, certificate soundness, overload
+  useful work) and ``elastic`` (migration exactness, skew gain).
+* ``bench-regress`` — the continuous op-count regression ledger:
+  fingerprint pinned smoke cells (op counters, trace record
+  tallies, virtual-cost critical path) against the committed
+  ``benchmarks/baselines/``; ``--check`` gates CI, ``--update``
+  regenerates the ledger.
 * ``trace-report`` / ``trace-diff`` — the trace analytics pair:
   summarize one telemetry trace (``--json`` for tooling), or compare
   two traces under the timing mask and localize the first divergent
   record and its causal span.
-* ``bench-par`` — the parallel-executor suite: the same seed-pinned
-  scenarios solved under ``serial``/``process`` executors
-  at shard counts 1/2/4/8, hard-asserting byte-identical plans,
-  metrics, and op counters across executors while reporting (never
-  gating) measured wall clock next to the modeled ``SimCluster``
-  makespan, persisted as ``benchmarks/BENCH_par.json``.
-* ``bench-regress`` — the continuous op-count regression ledger:
-  fingerprint every suite's smoke cells (op counters, trace record
-  tallies, virtual-cost critical path) against the committed
-  ``benchmarks/baselines/``; ``--check`` gates CI, ``--update``
-  regenerates the ledger.
 
 Every command prints a compact report; ``--seed`` makes runs
-reproducible.  The solve, simulate, and bench commands accept
+reproducible.  The solve and simulate commands accept
 ``--backend {python,numpy}`` (identical plans, different speed),
 attached through one shared helper so every subcommand spells it
 identically; ``run`` and ``simulate`` take ``--telemetry`` /
@@ -73,7 +56,9 @@ for work under a certified quality ratio (``--top-c`` / ``--floor``
 size the degradation; ``auto`` switches modes at runtime from queue
 depth and the telemetry p99).  ``simulate --inject PLAN.json``
 replays a fault-injection plan (worker-region outages, flash crowds,
-op-budget slowdowns) against the trace.
+op-budget slowdowns) against the trace.  A typed library error
+(any :class:`~repro.errors.TCSCError`, e.g. an out-of-range
+``--slots``) exits 2 with its one-line message, never a traceback.
 """
 
 from __future__ import annotations
@@ -83,12 +68,13 @@ import json
 import math
 import sys
 
+from repro.bench.report import SUITES
 from repro.core.cover import MinCostCoverSolver
 from repro.core.evaluator import EVALUATOR_BACKENDS
 from repro.core.quality import max_quality
 from repro.engine.costs import SingleTaskCostTable
 from repro.engine.server import TCSCServer
-from repro.errors import ConfigurationError, SpecError
+from repro.errors import ConfigurationError, SpecError, TCSCError
 from repro.runtime import RunSpec, WorkloadSpec, build_runtime, recover_runtime
 from repro.stream.session import INDEX_MODES
 from repro.workloads.scenario import ScenarioConfig, build_scenario
@@ -352,58 +338,17 @@ def build_parser() -> argparse.ArgumentParser:
                           "bounded by the host's cores)")
     _add_backend_flag(sim)
 
-    perf = sub.add_parser(
-        "bench-perf",
-        help="deterministic perf suite -> benchmarks/BENCH_perf.json",
+    bench = sub.add_parser(
+        "bench",
+        help="run one system suite (identity and op-count gates; wall "
+             "clock reported, never gated) -> benchmarks/BENCH_<SUITE>.json",
     )
-    perf.add_argument("--smoke", action="store_true",
-                      help="smallest scenario only (CI smoke mode)")
-    perf.add_argument("--results-dir", default=None,
-                      help="override benchmarks/results output directory")
-
-    shard = sub.add_parser(
-        "bench-shard",
-        help="shard-scaling suite -> benchmarks/BENCH_shard.json",
-    )
-    shard.add_argument("--smoke", action="store_true",
+    bench.add_argument("suite", choices=SUITES, metavar="SUITE",
+                       help="one of: " + ", ".join(SUITES))
+    bench.add_argument("--smoke", action="store_true",
                        help="smallest scenarios only (CI smoke mode)")
-    shard.add_argument("--results-dir", default=None,
+    bench.add_argument("--results-dir", default=None,
                        help="override benchmarks/results output directory")
-    _add_backend_flag(shard)
-
-    par = sub.add_parser(
-        "bench-par",
-        help="parallel-executor suite (cross-executor byte-identity "
-             "gates + non-gating wall-clock vs modeled makespan) -> "
-             "benchmarks/BENCH_par.json",
-    )
-    par.add_argument("--smoke", action="store_true",
-                     help="smallest scenarios only (CI smoke mode; "
-                          "identity gates still run, wall clock is "
-                          "still only reported)")
-    par.add_argument("--results-dir", default=None,
-                     help="override benchmarks/results output directory")
-
-    journal = sub.add_parser(
-        "bench-journal",
-        help="durability suite (crash/recovery exactness + journal "
-             "overhead) -> benchmarks/BENCH_journal.json",
-    )
-    journal.add_argument("--smoke", action="store_true",
-                         help="smallest scenario only (CI smoke mode)")
-    journal.add_argument("--results-dir", default=None,
-                         help="override benchmarks/results output directory")
-    _add_backend_flag(journal)
-
-    matrix = sub.add_parser(
-        "matrix",
-        help="runtime equivalence matrix (composed vs legacy-class, "
-             "byte-identical) -> benchmarks/BENCH_matrix.json",
-    )
-    matrix.add_argument("--smoke", action="store_true",
-                        help="reduced grid (CI smoke mode)")
-    matrix.add_argument("--results-dir", default=None,
-                        help="override benchmarks/results output directory")
 
     trace_report = sub.add_parser(
         "trace-report",
@@ -429,39 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="second trace file")
     trace_diff.add_argument("--json", action="store_true",
                             help="machine-readable JSON divergence report")
-
-    obs = sub.add_parser(
-        "bench-obs",
-        help="observability suite (telemetry-off identity + zero "
-             "op-count overhead + trace determinism) -> "
-             "benchmarks/BENCH_obs.json",
-    )
-    obs.add_argument("--smoke", action="store_true",
-                     help="smallest scenarios only (CI smoke mode)")
-    obs.add_argument("--results-dir", default=None,
-                     help="override benchmarks/results output directory")
-
-    degrade = sub.add_parser(
-        "bench-degrade",
-        help="graceful-degradation suite (approx-off identity + "
-             "certificate soundness + overload useful work) -> "
-             "benchmarks/BENCH_degrade.json",
-    )
-    degrade.add_argument("--smoke", action="store_true",
-                         help="smallest scenarios only (CI smoke mode)")
-    degrade.add_argument("--results-dir", default=None,
-                         help="override benchmarks/results output directory")
-
-    elastic = sub.add_parser(
-        "bench-elastic",
-        help="elasticity suite (migrate-at-every-boundary exactness + "
-             "skew rebalancing gain + elastic-off identity) -> "
-             "benchmarks/BENCH_elastic.json",
-    )
-    elastic.add_argument("--smoke", action="store_true",
-                         help="executors=2 arms only (CI smoke mode)")
-    elastic.add_argument("--results-dir", default=None,
-                         help="override benchmarks/results output directory")
 
     regress = sub.add_parser(
         "bench-regress",
@@ -617,27 +529,19 @@ def _cmd_simulate(args) -> int:
 
         try:
             injections = load_injections(args.inject)
-        except (ConfigurationError, OSError) as exc:
+        except OSError as exc:
             print(str(exc), file=sys.stderr)
             return 2
-    try:
-        spec = _stream_spec(args)
-    except SpecError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    spec = _stream_spec(args)
     runtime = build_runtime(spec)
     scenario = runtime.scenario()  # built lazily; never touches the journal
     if injections:
         from repro.degrade.chaos import apply_injections
         from repro.runtime.factory import StreamRuntime
 
-        try:
-            scenario = apply_injections(scenario, injections)
-            runtime = StreamRuntime(spec, scenario=scenario, chaos=injections)
-            runtime.server  # resolve pairing errors before printing
-        except SpecError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
+        scenario = apply_injections(scenario, injections)
+        runtime = StreamRuntime(spec, scenario=scenario, chaos=injections)
+        runtime.server  # resolve pairing errors before printing
         kinds = ",".join(i.kind for i in injections)
         print(f"inject: {len(injections)} injections ({kinds})")
     print(f"index_mode={args.index_mode} epoch={args.epoch:g} seed={args.seed}")
@@ -739,16 +643,12 @@ def _simulate_resume(args, scenario) -> int:
     crash again); ``--snapshot-every`` overrides the interrupted run's
     cadence when given.
     """
-    try:
-        recovered = recover_runtime(
-            args.journal,
-            sync=args.sync,
-            snapshot_every=args.snapshot_every,
-            crash_after_events=args.crash_at,
-        )
-    except SpecError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    recovered = recover_runtime(
+        args.journal,
+        sync=args.sync,
+        snapshot_every=args.snapshot_every,
+        crash_after_events=args.crash_at,
+    )
     if recovered.kind == "sharded":
         for shard, info in enumerate(recovered.recovery):
             print(f"recovery shard {shard}: snapshot={info.snapshot_loaded} "
@@ -830,60 +730,13 @@ def _cmd_run(args) -> int:
     )
 
 
-def _cmd_bench_perf(args) -> int:
-    from repro.bench.perfsuite import run_and_write
+def _cmd_bench(args) -> int:
+    from repro.bench.report import run_and_write
 
-    return run_and_write(smoke=args.smoke, results_dir=args.results_dir)
-
-
-def _cmd_bench_shard(args) -> int:
-    from repro.bench.shardsuite import run_and_write
-
-    return run_and_write(
-        smoke=args.smoke, results_dir=args.results_dir, backend=args.backend
-    )
-
-
-def _cmd_bench_par(args) -> int:
-    from repro.bench.parsuite import run_and_write
-
-    return run_and_write(smoke=args.smoke, results_dir=args.results_dir)
-
-
-def _cmd_bench_journal(args) -> int:
-    from repro.bench.journalsuite import run_and_write
-
-    return run_and_write(
-        smoke=args.smoke, results_dir=args.results_dir, backend=args.backend
-    )
-
-
-def _cmd_matrix(args) -> int:
-    from repro.bench.matrixsuite import run_and_write
-
-    return run_and_write(smoke=args.smoke, results_dir=args.results_dir)
-
-
-def _cmd_bench_obs(args) -> int:
-    from repro.bench.obssuite import run_and_write
-
-    return run_and_write(smoke=args.smoke, results_dir=args.results_dir)
-
-
-def _cmd_bench_degrade(args) -> int:
-    from repro.bench.degradesuite import run_and_write
-
-    return run_and_write(smoke=args.smoke, results_dir=args.results_dir)
-
-
-def _cmd_bench_elastic(args) -> int:
-    from repro.bench.elasticsuite import run_and_write
-
-    return run_and_write(smoke=args.smoke, results_dir=args.results_dir)
+    return run_and_write(args.suite, smoke=args.smoke, results_dir=args.results_dir)
 
 
 def _cmd_trace_report(args) -> int:
-    from repro.errors import TCSCError
     from repro.obs.report import render_trace_report, trace_report_json
 
     try:
@@ -892,19 +745,18 @@ def _cmd_trace_report(args) -> int:
                              indent=2, sort_keys=True))
         else:
             print(render_trace_report(args.trace))
-    except (TCSCError, OSError) as exc:
+    except OSError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     return 0
 
 
 def _cmd_trace_diff(args) -> int:
-    from repro.errors import TCSCError
     from repro.obs.query import diff_traces
 
     try:
         divergence = diff_traces(args.trace_a, args.trace_b)
-    except (TCSCError, OSError) as exc:
+    except OSError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     if divergence is None:
@@ -941,19 +793,18 @@ def main(argv: list[str] | None = None) -> int:
         "solve-multi": _cmd_solve_multi,
         "cover": _cmd_cover,
         "simulate": _cmd_simulate,
-        "matrix": _cmd_matrix,
-        "bench-perf": _cmd_bench_perf,
-        "bench-shard": _cmd_bench_shard,
-        "bench-par": _cmd_bench_par,
-        "bench-journal": _cmd_bench_journal,
-        "bench-obs": _cmd_bench_obs,
-        "bench-degrade": _cmd_bench_degrade,
-        "bench-elastic": _cmd_bench_elastic,
+        "bench": _cmd_bench,
         "bench-regress": _cmd_bench_regress,
         "trace-report": _cmd_trace_report,
         "trace-diff": _cmd_trace_diff,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except TCSCError as exc:
+        # The one typed-error boundary: invalid domain values end as a
+        # one-line message and exit 2, never a traceback.
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

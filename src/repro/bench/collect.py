@@ -5,34 +5,14 @@
 and emits a single ``REPORT.md`` — the artifact to skim after a full
 ``pytest benchmarks/ --benchmark-only`` run.
 
-Machine-readable series are merged per suite into ``BENCH_*.json``
-records next to the results directory; the registry in
-:data:`COLLECTORS` is the source of truth:
-
-* ``stream*.json`` -> ``BENCH_stream.json`` (events/sec and
-  incremental-vs-rebuild speedups, :mod:`repro.stream`);
-* ``perf*.json`` -> ``BENCH_perf.json`` (solver hot-path backend and
-  lazy-search speedups, :mod:`repro.bench.perfsuite`);
-* ``shard*.json`` -> ``BENCH_shard.json`` (shard-count scaling at
-  plan identity, :mod:`repro.bench.shardsuite`);
-* ``par*.json`` -> ``BENCH_par.json`` (cross-executor byte-identity
-  plus non-gating measured-vs-modeled speedup,
-  :mod:`repro.bench.parsuite`);
-* ``journal*.json`` -> ``BENCH_journal.json`` (crash-recovery
-  exactness and durability overhead, :mod:`repro.bench.journalsuite`);
-* ``matrix*.json`` -> ``BENCH_matrix.json`` (composed-vs-legacy
-  runtime equivalence, :mod:`repro.bench.matrixsuite`);
-* ``obs*.json`` -> ``BENCH_obs.json`` (telemetry-off identity, zero
-  op-count overhead, trace determinism, :mod:`repro.bench.obssuite`);
-* ``degrade*.json`` -> ``BENCH_degrade.json`` (approx-off identity,
-  certificate soundness, overload useful work,
-  :mod:`repro.bench.degradesuite`);
-* ``elastic*.json`` -> ``BENCH_elastic.json`` (migrate-at-every-
-  boundary exactness, skewed-arrival rebalancing gain, elastic-off
-  identity, :mod:`repro.bench.elasticsuite`);
-* ``regress*.json`` -> ``BENCH_regress.json`` (op-count fingerprints
-  vs the committed ``benchmarks/baselines/`` ledger,
-  :mod:`repro.bench.regresssuite`).
+Machine-readable series are merged per name into ``BENCH_*.json``
+records next to the results directory: every ``<name>*.json`` series
+becomes ``BENCH_<name>.json``, for the names in :data:`COLLECTORS` —
+``stream`` (events/sec and incremental-vs-rebuild speedups, written by
+``benchmarks/test_stream_throughput.py``), every suite of
+:data:`repro.bench.report.SUITES` (``python -m repro bench SUITE``),
+and ``regress`` (op-count fingerprints vs the committed
+``benchmarks/baselines/`` ledger, ``python -m repro bench-regress``).
 
 The report also carries a **regression-ledger status** section:
 cells checked, drift detected, and how stale each committed baseline
@@ -41,10 +21,9 @@ is (by the git commit stamped into its ``meta``).
 ``BENCH_*.json`` files next to the results directory that no
 registered collector produces are *warned about* rather than silently
 skipped — a stale or hand-dropped artifact would otherwise rot
-unnoticed while looking authoritative.  Each offending filename warns
-once per process (suites re-enter :func:`main` after every run, and a
-repeated warning for the same file reads as several distinct
-problems); :func:`reset_unrecognized_warnings` re-arms them.
+unnoticed while looking authoritative.  A registered artifact that is
+neither present nor regenerable from its series fails :func:`main`
+(after ``REPORT.md`` is written): docs and CI link every one of them.
 """
 
 from __future__ import annotations
@@ -54,25 +33,15 @@ import re
 import sys
 from pathlib import Path
 
+from repro.bench.report import DEFAULT_RESULTS, SUITES
+
 __all__ = [
     "COLLECTORS",
     "collect",
-    "collect_degrade",
-    "collect_elastic",
-    "collect_journal",
-    "collect_matrix",
-    "collect_obs",
-    "collect_par",
-    "collect_perf",
-    "collect_regress",
-    "collect_shard",
-    "collect_stream",
-    "reset_unrecognized_warnings",
+    "collect_series",
     "unrecognized_artifacts",
     "main",
 ]
-
-_DEFAULT_RESULTS = Path(__file__).resolve().parents[3] / "benchmarks" / "results"
 
 
 def _sort_key(path: Path) -> tuple:
@@ -86,110 +55,38 @@ def _sort_key(path: Path) -> tuple:
     return (family, prefix, int(number), letter)
 
 
-def _collect_json_series(
-    results_dir: Path | str, pattern: str, generated_by: str
-) -> dict | None:
-    """Merge every ``<pattern>`` JSON series under ``results_dir``.
+def _generated_by(name: str) -> str:
+    """The command that regenerates ``BENCH_<name>.json``."""
+    if name in SUITES:
+        return f"python -m repro bench {name}"
+    if name == "regress":
+        return "python -m repro bench-regress"
+    return "python -m repro.bench.collect"
 
-    Returns ``None`` when no series exist yet; otherwise a dict of
-    ``{series_name: payload}`` ready to dump as a ``BENCH_*.json``.
+
+def collect_series(name: str, results_dir: Path | str = DEFAULT_RESULTS) -> dict | None:
+    """Merge every ``<name>*.json`` series under ``results_dir``.
+
+    Returns ``None`` when no series exist yet; otherwise the
+    ``BENCH_<name>.json`` record: ``{"generated_by", "series":
+    {series_name: payload}}``.
     """
-    results_dir = Path(results_dir)
     series: dict[str, dict] = {}
-    for path in sorted(results_dir.glob(pattern)):
+    for path in sorted(Path(results_dir).glob(f"{name}*.json")):
         try:
             series[path.stem] = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError) as exc:
             print(f"skipping unreadable {path}: {exc}", file=sys.stderr)
     if not series:
         return None
-    return {"generated_by": generated_by, "series": series}
+    return {"generated_by": _generated_by(name), "series": series}
 
 
-def collect_stream(results_dir: Path | str = _DEFAULT_RESULTS) -> dict | None:
-    """Merge ``stream*.json`` series (the ``BENCH_stream.json`` record)."""
-    return _collect_json_series(
-        results_dir, "stream*.json", "python -m repro.bench.collect"
-    )
-
-
-def collect_perf(results_dir: Path | str = _DEFAULT_RESULTS) -> dict | None:
-    """Merge ``perf*.json`` series (the ``BENCH_perf.json`` record)."""
-    return _collect_json_series(
-        results_dir, "perf*.json", "python -m repro bench-perf"
-    )
-
-
-def collect_shard(results_dir: Path | str = _DEFAULT_RESULTS) -> dict | None:
-    """Merge ``shard*.json`` series (the ``BENCH_shard.json`` record)."""
-    return _collect_json_series(
-        results_dir, "shard*.json", "python -m repro bench-shard"
-    )
-
-
-def collect_par(results_dir: Path | str = _DEFAULT_RESULTS) -> dict | None:
-    """Merge ``par*.json`` series (the ``BENCH_par.json`` record)."""
-    return _collect_json_series(
-        results_dir, "par*.json", "python -m repro bench-par"
-    )
-
-
-def collect_journal(results_dir: Path | str = _DEFAULT_RESULTS) -> dict | None:
-    """Merge ``journal*.json`` series (the ``BENCH_journal.json`` record)."""
-    return _collect_json_series(
-        results_dir, "journal*.json", "python -m repro bench-journal"
-    )
-
-
-def collect_matrix(results_dir: Path | str = _DEFAULT_RESULTS) -> dict | None:
-    """Merge ``matrix*.json`` series (the ``BENCH_matrix.json`` record)."""
-    return _collect_json_series(
-        results_dir, "matrix*.json", "python -m repro matrix"
-    )
-
-
-def collect_obs(results_dir: Path | str = _DEFAULT_RESULTS) -> dict | None:
-    """Merge ``obs*.json`` series (the ``BENCH_obs.json`` record)."""
-    return _collect_json_series(
-        results_dir, "obs*.json", "python -m repro bench-obs"
-    )
-
-
-def collect_degrade(results_dir: Path | str = _DEFAULT_RESULTS) -> dict | None:
-    """Merge ``degrade*.json`` series (the ``BENCH_degrade.json`` record)."""
-    return _collect_json_series(
-        results_dir, "degrade*.json", "python -m repro bench-degrade"
-    )
-
-
-def collect_elastic(results_dir: Path | str = _DEFAULT_RESULTS) -> dict | None:
-    """Merge ``elastic*.json`` series (the ``BENCH_elastic.json`` record)."""
-    return _collect_json_series(
-        results_dir, "elastic*.json", "python -m repro bench-elastic"
-    )
-
-
-def collect_regress(results_dir: Path | str = _DEFAULT_RESULTS) -> dict | None:
-    """Merge ``regress*.json`` series (the ``BENCH_regress.json`` record)."""
-    return _collect_json_series(
-        results_dir, "regress*.json", "python -m repro bench-regress"
-    )
-
-
-#: Artifact name -> (series glob, collector).  Every ``BENCH_*.json``
-#: the repo produces must be registered here; ``main`` regenerates
-#: each one and warns about artifacts no collector owns.
-COLLECTORS: dict[str, tuple[str, callable]] = {
-    "BENCH_stream.json": ("stream*.json", collect_stream),
-    "BENCH_perf.json": ("perf*.json", collect_perf),
-    "BENCH_shard.json": ("shard*.json", collect_shard),
-    "BENCH_par.json": ("par*.json", collect_par),
-    "BENCH_journal.json": ("journal*.json", collect_journal),
-    "BENCH_matrix.json": ("matrix*.json", collect_matrix),
-    "BENCH_obs.json": ("obs*.json", collect_obs),
-    "BENCH_degrade.json": ("degrade*.json", collect_degrade),
-    "BENCH_elastic.json": ("elastic*.json", collect_elastic),
-    "BENCH_regress.json": ("regress*.json", collect_regress),
+#: Artifact name -> series name.  Every ``BENCH_*.json`` the repo
+#: produces is registered here; ``main`` regenerates each one, fails
+#: on any that is missing, and warns about artifacts no entry owns.
+COLLECTORS: dict[str, str] = {
+    f"BENCH_{name}.json": name for name in ("stream", *SUITES, "regress")
 }
 
 
@@ -201,15 +98,6 @@ def unrecognized_artifacts(bench_dir: Path | str) -> list[str]:
         for path in bench_dir.glob("BENCH_*.json")
         if path.name not in COLLECTORS
     )
-
-
-#: Unrecognized artifact names already warned about this process.
-_warned_unrecognized: set[str] = set()
-
-
-def reset_unrecognized_warnings() -> None:
-    """Forget which artifacts warned (tests assert the once-semantics)."""
-    _warned_unrecognized.clear()
 
 
 def _artifact_section(bench_dir: Path) -> str:
@@ -253,7 +141,7 @@ def _par_section(results_dir: Path) -> str:
     payload_path = results_dir / "par_suite.json"
     if not payload_path.exists():
         lines.append(
-            "* not run yet — `python -m repro bench-par` measures the "
+            "* not run yet — `python -m repro bench par` measures the "
             "process-pool executor against the modeled SimCluster makespan"
         )
         return "\n".join(lines) + "\n"
@@ -342,7 +230,7 @@ def _ledger_section(results_dir: Path) -> str:
     return "\n".join(lines) + "\n"
 
 
-def collect(results_dir: Path | str = _DEFAULT_RESULTS) -> str:
+def collect(results_dir: Path | str = DEFAULT_RESULTS) -> str:
     """Concatenate all result blocks into one markdown document."""
     results_dir = Path(results_dir)
     blocks = []
@@ -366,15 +254,20 @@ def collect(results_dir: Path | str = _DEFAULT_RESULTS) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI: write REPORT.md and every registered BENCH_*.json."""
+    """CLI: write REPORT.md and every registered BENCH_*.json.
+
+    Exits 1 when a registered artifact is neither present nor
+    regenerable from the series under the results directory.
+    """
     argv = sys.argv[1:] if argv is None else argv
-    results_dir = Path(argv[0]) if argv else _DEFAULT_RESULTS
+    results_dir = Path(argv[0]) if argv else DEFAULT_RESULTS
     if not results_dir.exists():
         print(f"no results at {results_dir}; run the benchmarks first", file=sys.stderr)
         return 1
     bench_dir = results_dir.parent
-    for name, (pattern, collector) in sorted(COLLECTORS.items()):
-        merged = collector(results_dir)
+    missing = []
+    for name, series in sorted(COLLECTORS.items()):
+        merged = collect_series(series, results_dir)
         if merged is not None:
             out_path = bench_dir / name
             out_path.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
@@ -383,14 +276,13 @@ def main(argv: list[str] | None = None) -> int:
             # The artifact exists but its source series are gone: it
             # can no longer be regenerated and is silently rotting.
             print(
-                f"warning: {bench_dir / name} is stale — no {pattern} series "
-                f"under {results_dir} to regenerate it from",
+                f"warning: {bench_dir / name} is stale — no {series}*.json "
+                f"series under {results_dir} to regenerate it from",
                 file=sys.stderr,
             )
+        else:
+            missing.append(name)
     for name in unrecognized_artifacts(bench_dir):
-        if name in _warned_unrecognized:
-            continue
-        _warned_unrecognized.add(name)
         print(
             f"warning: {bench_dir / name} matches no registered collector "
             "(stale or hand-dropped benchmark artifact?)",
@@ -400,7 +292,13 @@ def main(argv: list[str] | None = None) -> int:
     out = bench_dir / "REPORT.md"
     out.write_text(report)
     print(f"wrote {out} ({len(report.splitlines())} lines)")
-    return 0
+    for name in missing:
+        print(
+            f"error: {bench_dir / name} is missing and no {COLLECTORS[name]}*.json "
+            f"series under {results_dir} can regenerate it",
+            file=sys.stderr,
+        )
+    return 1 if missing else 0
 
 
 if __name__ == "__main__":

@@ -1,7 +1,6 @@
 """Graceful-degradation suite: identity, certificates, useful work.
 
-``python -m repro bench-degrade`` (or ``python -m
-repro.bench.degradesuite``) proves the three contracts of
+``python -m repro bench degrade`` proves the three contracts of
 :mod:`repro.degrade`:
 
 * **approx-off identity** — with ``approx="off"`` the runtime is
@@ -24,14 +23,11 @@ telemetry) must raise :class:`~repro.errors.SpecError`.
 
 Per the repo's determinism policy every gate is identity, certificate,
 or op-count based; wall-clock is recorded for humans only.  The merged
-artifact is ``benchmarks/BENCH_degrade.json`` via
-:func:`repro.bench.collect.collect_degrade`.
+artifact is ``benchmarks/BENCH_degrade.json``.
 """
 
 from __future__ import annotations
 
-import json
-import sys
 import time
 from pathlib import Path
 
@@ -41,12 +37,11 @@ from repro.runtime import RunSpec, WorkloadSpec, build_runtime
 
 __all__ = [
     "run_suite",
-    "run_and_write",
+    "summary",
+    "write_report_block",
     "check_payload",
-    "main",
 ]
 
-_DEFAULT_RESULTS = Path(__file__).resolve().parents[3] / "benchmarks" / "results"
 _EPS = 1e-9
 
 #: Seed-pinned bases.  The stream base keeps competition low (ample
@@ -377,7 +372,7 @@ def check_payload(payload: dict) -> list[str]:
     return failures
 
 
-def _write_report_block(payload: dict, results_dir: Path) -> None:
+def write_report_block(payload: dict, results_dir: Path) -> None:
     """Persist the human-readable degradation block for REPORT.md."""
     from repro.bench import Reporter
 
@@ -426,74 +421,17 @@ def _write_report_block(payload: dict, results_dir: Path) -> None:
     reporter.close()
 
 
-def run_and_write(
-    *, smoke: bool = False, results_dir: str | Path | None = None
-) -> int:
-    """Run the suite, persist JSON, refresh BENCH_degrade.json.
-
-    The single entry point behind ``python -m repro bench-degrade``
-    and ``python -m repro.bench.degradesuite``; returns a process exit
-    code (non-zero when a gate fails).  Layout mirrors the other
-    suites: the series lands in ``benchmarks/results/``, the merged
-    ``BENCH_degrade.json`` next to them in ``benchmarks/``.
-    """
-    if results_dir is None:
-        results_dir = _DEFAULT_RESULTS
-        bench_dir = results_dir.parent
-    else:
-        results_dir = Path(results_dir)
-        bench_dir = results_dir
-    results_dir.mkdir(parents=True, exist_ok=True)
-
-    payload = run_suite(smoke=smoke)
-    out = results_dir / "degrade_suite.json"
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {out}")
-    _write_report_block(payload, results_dir)
-
-    from repro.bench.collect import collect_degrade
-
-    merged = collect_degrade(results_dir)
-    if merged is not None:
-        bench_out = bench_dir / "BENCH_degrade.json"
-        bench_out.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {bench_out}")
-
-    certified = sum(
-        c.get("tasks_certified", 0)
-        for c in payload["cells"] if c["arm"] == "certificate"
-    )
+def summary(payload: dict) -> list[str]:
+    """Certified plans and typed rejections, in one line."""
+    certificate_cells = [c for c in payload["cells"] if c["arm"] == "certificate"]
+    certified = sum(c.get("tasks_certified", 0) for c in certificate_cells)
     rejected = sum(
         1 for c in payload["cells"]
         if c["arm"] == "rejection" and c["rejected"]
     )
-    print(
+    return [
         f"degrade: {certified} plans certified across "
-        f"{sum(1 for c in payload['cells'] if c['arm'] == 'certificate')} "
-        f"approximate cells, {rejected} unsupported pairings rejected "
+        f"{len(certificate_cells)} approximate cells, "
+        f"{rejected} unsupported pairings rejected "
         "with typed SpecError"
-    )
-
-    failures = check_payload(payload)
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Standalone CLI wrapper around :func:`run_and_write`."""
-    import argparse
-
-    parser = argparse.ArgumentParser(prog="repro.bench.degradesuite")
-    parser.add_argument("--smoke", action="store_true",
-                        help="smallest scenarios only (CI smoke mode)")
-    parser.add_argument("--results-dir", default=None,
-                        help="override benchmarks/results output directory")
-    args = parser.parse_args(argv)
-    return run_and_write(smoke=args.smoke, results_dir=args.results_dir)
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    ]

@@ -1,11 +1,10 @@
 """Deterministic elasticity suite: live migration exactness, measured.
 
-``python -m repro bench-elastic`` (or ``python -m
-repro.bench.elasticsuite``) drives the :mod:`repro.elastic` subsystem
-through seed-pinned streaming scenarios and persists
+``python -m repro bench elastic`` drives the :mod:`repro.elastic`
+subsystem through seed-pinned streaming scenarios and persists
 ``benchmarks/results/elastic_suite.json``;
-:func:`repro.bench.collect.collect_elastic` merges every
-``elastic*.json`` series into ``benchmarks/BENCH_elastic.json``.
+the driver merges every ``elastic*.json`` series into
+``benchmarks/BENCH_elastic.json``.
 
 Three measurements:
 
@@ -30,8 +29,6 @@ wall-clock is recorded for humans only.
 
 from __future__ import annotations
 
-import json
-import sys
 import time
 from pathlib import Path
 
@@ -53,12 +50,11 @@ __all__ = [
     "SKEW_KWARGS",
     "SKEW_RATIO_GATE",
     "run_suite",
-    "run_and_write",
+    "summary",
+    "write_report_block",
     "check_payload",
-    "main",
 ]
 
-_DEFAULT_RESULTS = Path(__file__).resolve().parents[3] / "benchmarks" / "results"
 
 #: Executor counts swept at every epoch boundary (the acceptance grid).
 EXECUTOR_COUNTS = (2, 4)
@@ -208,7 +204,7 @@ def _skew_arm(num_executors: int) -> dict:
     }
 
 
-def _off_identity(backend: str) -> dict:
+def _off_identity() -> dict:
     """``elastic="off"`` through the factory must compose the plain
     sharded stack byte-identically to direct construction."""
     spec = RunSpec(
@@ -222,7 +218,6 @@ def _off_identity(backend: str) -> dict:
             mean_lifetime=SWEEP_SCENARIO.mean_worker_lifetime,
             seed=SWEEP_SCENARIO.seed,
         ),
-        backend=backend,
         shards=2,
         elastic="off",
         **SWEEP_KWARGS,
@@ -232,7 +227,7 @@ def _off_identity(backend: str) -> dict:
     outcome = runtime.run()
 
     direct = ShardedStreamingServer(
-        trace.bbox, num_shards=2, backend=backend, **SWEEP_KWARGS
+        trace.bbox, num_shards=2, **SWEEP_KWARGS
     )
     direct_metrics = direct.run(list(trace.events))
     identical = (
@@ -249,18 +244,18 @@ def _off_identity(backend: str) -> dict:
     }
 
 
-def run_suite(*, smoke: bool = False, backend: str = "python") -> dict:
+def run_suite(*, smoke: bool = False) -> dict:
     """Run the suite and return the machine-readable payload."""
     counts = EXECUTOR_COUNTS[:1] if smoke else EXECUTOR_COUNTS
     return {
         "suite": "elasticsuite",
         "mode": "smoke" if smoke else "full",
-        "backend": backend,
+        "backend": "python",
         "executor_counts": list(counts),
         "skew_ratio_gate": SKEW_RATIO_GATE,
         "sweep": {str(count): _sweep_executors(count) for count in counts},
         "skew": {str(count): _skew_arm(count) for count in counts},
-        "off_identity": _off_identity(backend),
+        "off_identity": _off_identity(),
     }
 
 
@@ -316,7 +311,7 @@ def check_payload(payload: dict) -> list[str]:
     return failures
 
 
-def _write_report_block(payload: dict, results_dir: Path) -> None:
+def write_report_block(payload: dict, results_dir: Path) -> None:
     """Persist the human-readable elasticity block for REPORT.md."""
     from repro.bench import Reporter
 
@@ -348,84 +343,21 @@ def _write_report_block(payload: dict, results_dir: Path) -> None:
     reporter.close()
 
 
-def run_and_write(
-    *,
-    smoke: bool = False,
-    results_dir: str | Path | None = None,
-    backend: str = "python",
-) -> int:
-    """Run the suite, persist JSON, refresh BENCH_elastic.json.
-
-    The single entry point behind ``python -m repro bench-elastic``
-    and ``python -m repro.bench.elasticsuite``; returns a process exit
-    code (non-zero when a gate fails).  Layout mirrors the journal/obs
-    suites: the series lands in ``benchmarks/results/``, the merged
-    ``BENCH_elastic.json`` next to them in ``benchmarks/``.
-    """
-    if results_dir is None:
-        results_dir = _DEFAULT_RESULTS
-        bench_dir = results_dir.parent
-    else:
-        results_dir = Path(results_dir)
-        bench_dir = results_dir
-    results_dir.mkdir(parents=True, exist_ok=True)
-
-    payload = run_suite(smoke=smoke, backend=backend)
-    out = results_dir / "elastic_suite.json"
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {out}")
-    _write_report_block(payload, results_dir)
-
-    from repro.bench.collect import collect_elastic
-
-    merged = collect_elastic(results_dir)
-    if merged is not None:
-        bench_out = bench_dir / "BENCH_elastic.json"
-        bench_out.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {bench_out}")
-
+def summary(payload: dict) -> list[str]:
+    """Sweep and skew lines per executor count, then off-identity."""
+    lines = []
     for count, row in payload["sweep"].items():
-        print(
+        lines.append(
             f"sweep executors={count}: {row['identical']}/{row['boundaries']} "
             f"identical, {row['migrations_fired']} migrations fired, "
             f"mean replay {row['mean_records_replayed']} records"
         )
     for count, row in payload["skew"].items():
-        print(
+        lines.append(
             f"skew executors={count}: ratio={row['makespan_ratio']} "
             f"(gate {payload['skew_ratio_gate']}), "
             f"{row['migrations']} migrations, "
             f"plan_identical={row['plan_identical']}"
         )
-    print(f"off identity: {payload['off_identity']['identical']}")
-
-    failures = check_payload(payload)
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Standalone CLI wrapper around :func:`run_and_write`."""
-    import argparse
-
-    from repro.core.evaluator import EVALUATOR_BACKENDS
-
-    parser = argparse.ArgumentParser(prog="repro.bench.elasticsuite")
-    parser.add_argument("--smoke", action="store_true",
-                        help="executors=2 arms only (CI smoke mode)")
-    parser.add_argument("--results-dir", default=None,
-                        help="override benchmarks/results output directory")
-    parser.add_argument("--backend", choices=list(EVALUATOR_BACKENDS),
-                        default="python",
-                        help="quality-kernel backend for every run")
-    args = parser.parse_args(argv)
-    return run_and_write(
-        smoke=args.smoke, results_dir=args.results_dir, backend=args.backend
-    )
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    lines.append(f"off identity: {payload['off_identity']['identical']}")
+    return lines

@@ -1,11 +1,10 @@
 """Deterministic durability suite: crash-consistent replay, measured.
 
-``python -m repro bench-journal`` (or ``python -m
-repro.bench.journalsuite``) drives the :mod:`repro.journal` subsystem
-through seed-pinned streaming scenarios and persists
+``python -m repro bench journal`` drives the :mod:`repro.journal`
+subsystem through seed-pinned streaming scenarios and persists
 ``benchmarks/results/journal_suite.json``;
-:func:`repro.bench.collect.collect_journal` merges every
-``journal*.json`` series into ``benchmarks/BENCH_journal.json``.
+the driver merges every ``journal*.json`` series into
+``benchmarks/BENCH_journal.json``.
 
 Three measurements per scenario:
 
@@ -29,8 +28,6 @@ wall-clock is recorded for humans only.
 
 from __future__ import annotations
 
-import json
-import sys
 import tempfile
 import time
 from dataclasses import dataclass
@@ -52,12 +49,11 @@ __all__ = [
     "SCENARIOS",
     "SMOKE_SCENARIOS",
     "run_suite",
-    "run_and_write",
+    "summary",
+    "write_report_block",
     "check_payload",
-    "main",
 ]
 
-_DEFAULT_RESULTS = Path(__file__).resolve().parents[3] / "benchmarks" / "results"
 
 #: Sharded deployments swept at every event boundary (the acceptance
 #: grid; 1 doubles as the degenerate-sharding cross-check).
@@ -100,7 +96,7 @@ SCENARIOS = (
 SMOKE_SCENARIOS = (SCENARIOS[0],)
 
 
-def _base_spec(scenario: JournalScenario, backend: str) -> RunSpec:
+def _base_spec(scenario: JournalScenario) -> RunSpec:
     """The scenario's streaming spec — every server in the sweep is a
     ``spec.replace(...)`` of this one, built by the runtime factory."""
     return RunSpec(
@@ -114,7 +110,6 @@ def _base_spec(scenario: JournalScenario, backend: str) -> RunSpec:
             mean_lifetime=scenario.mean_lifetime,
             seed=scenario.seed,
         ),
-        backend=backend,
         k=2,
         epoch_length=scenario.epoch_length,
         budget_fraction=scenario.budget_fraction,
@@ -263,8 +258,8 @@ def _sweep_sharded(
     }
 
 
-def _run_scenario(scenario: JournalScenario, *, backend: str) -> dict:
-    base = _base_spec(scenario, backend)
+def _run_scenario(scenario: JournalScenario) -> dict:
+    base = _base_spec(scenario)
     trace = build_runtime(base).scenario()
     with tempfile.TemporaryDirectory(prefix="journalsuite-") as tmp:
         workdir = Path(tmp)
@@ -286,15 +281,15 @@ def _run_scenario(scenario: JournalScenario, *, backend: str) -> dict:
     }
 
 
-def run_suite(*, smoke: bool = False, backend: str = "python") -> dict:
+def run_suite(*, smoke: bool = False) -> dict:
     """Run the suite and return the machine-readable payload."""
     scenarios = SMOKE_SCENARIOS if smoke else SCENARIOS
     return {
         "suite": "journalsuite",
         "mode": "smoke" if smoke else "full",
-        "backend": backend,
+        "backend": "python",
         "shard_counts": list(SHARD_COUNTS),
-        "scenarios": [_run_scenario(s, backend=backend) for s in scenarios],
+        "scenarios": [_run_scenario(s) for s in scenarios],
     }
 
 
@@ -348,7 +343,7 @@ def check_payload(payload: dict) -> list[str]:
     return failures
 
 
-def _write_report_block(payload: dict, results_dir: Path) -> None:
+def write_report_block(payload: dict, results_dir: Path) -> None:
     """Persist the human-readable durability block for REPORT.md."""
     from repro.bench import Reporter
 
@@ -383,83 +378,20 @@ def _write_report_block(payload: dict, results_dir: Path) -> None:
     reporter.close()
 
 
-def run_and_write(
-    *,
-    smoke: bool = False,
-    results_dir: str | Path | None = None,
-    backend: str = "python",
-) -> int:
-    """Run the suite, persist JSON, refresh BENCH_journal.json.
-
-    The single entry point behind ``python -m repro bench-journal``
-    and ``python -m repro.bench.journalsuite``; returns a process exit
-    code (non-zero when an exactness gate fails).  Layout mirrors the
-    perf/shard suites: the series lands in ``benchmarks/results/``,
-    the merged ``BENCH_journal.json`` next to them in ``benchmarks/``.
-    """
-    if results_dir is None:
-        results_dir = _DEFAULT_RESULTS
-        bench_dir = results_dir.parent
-    else:
-        results_dir = Path(results_dir)
-        bench_dir = results_dir
-    results_dir.mkdir(parents=True, exist_ok=True)
-
-    payload = run_suite(smoke=smoke, backend=backend)
-    out = results_dir / "journal_suite.json"
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {out}")
-    _write_report_block(payload, results_dir)
-
-    from repro.bench.collect import collect_journal
-
-    merged = collect_journal(results_dir)
-    if merged is not None:
-        bench_out = bench_dir / "BENCH_journal.json"
-        bench_out.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {bench_out}")
-
+def summary(payload: dict) -> list[str]:
+    """One line per scenario: recovery identity and journal overhead."""
+    lines = []
     for scenario in payload["scenarios"]:
         plain = scenario["plain"]
         shard_ident = " ".join(
             f"s{count}={row['identical']}/{row['boundaries']}"
             for count, row in scenario["shards"].items()
         )
-        print(
+        lines.append(
             f"{scenario['name']}: events={plain['total_events']} "
             f"plain={plain['recovery']['identical']}/"
             f"{plain['recovery']['boundaries']} identical, {shard_ident}; "
             f"{plain['overhead']['records_per_event']} records/event, "
             f"mean replay {plain['recovery']['mean_events_replayed']} events"
         )
-
-    failures = check_payload(payload)
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Standalone CLI wrapper around :func:`run_and_write`."""
-    import argparse
-
-    from repro.core.evaluator import EVALUATOR_BACKENDS
-
-    parser = argparse.ArgumentParser(prog="repro.bench.journalsuite")
-    parser.add_argument("--smoke", action="store_true",
-                        help="smallest scenario only (CI smoke mode)")
-    parser.add_argument("--results-dir", default=None,
-                        help="override benchmarks/results output directory")
-    parser.add_argument("--backend", choices=list(EVALUATOR_BACKENDS),
-                        default="python",
-                        help="quality-kernel backend for every run")
-    args = parser.parse_args(argv)
-    return run_and_write(
-        smoke=args.smoke, results_dir=args.results_dir, backend=args.backend
-    )
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    return lines

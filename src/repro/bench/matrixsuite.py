@@ -1,7 +1,6 @@
 """Runtime equivalence matrix: composed vs legacy, byte-identical.
 
-``python -m repro matrix`` (or ``python -m repro.bench.matrixsuite``)
-sweeps the capability grid
+``python -m repro bench matrix`` sweeps the capability grid
 
     {plain, stream} x shards {1, 2, 4} x journal {off, on}
                     x backend {python, numpy}
@@ -30,14 +29,11 @@ Two bonus gates ride along:
 
 Per the repo's determinism policy every gate is equality/op-count
 based; wall-clock is recorded for humans only.  The merged artifact
-is ``benchmarks/BENCH_matrix.json`` via
-:func:`repro.bench.collect.collect_matrix`.
+is ``benchmarks/BENCH_matrix.json``.
 """
 
 from __future__ import annotations
 
-import json
-import sys
 import tempfile
 import time
 from pathlib import Path
@@ -51,12 +47,11 @@ __all__ = [
     "SHARD_COUNTS",
     "BACKENDS",
     "run_suite",
-    "run_and_write",
+    "summary",
+    "write_report_block",
     "check_payload",
-    "main",
 ]
 
-_DEFAULT_RESULTS = Path(__file__).resolve().parents[3] / "benchmarks" / "results"
 
 #: The acceptance grid (smoke mode trims shards and backends).
 MATRIX_MODES = ("plain", "stream")
@@ -364,7 +359,7 @@ def check_payload(payload: dict) -> list[str]:
     return failures
 
 
-def _write_report_block(payload: dict, results_dir: Path) -> None:
+def write_report_block(payload: dict, results_dir: Path) -> None:
     """Persist the human-readable matrix block for REPORT.md."""
     from repro.bench import Reporter
 
@@ -403,39 +398,8 @@ def _write_report_block(payload: dict, results_dir: Path) -> None:
     reporter.close()
 
 
-def run_and_write(
-    *, smoke: bool = False, results_dir: str | Path | None = None
-) -> int:
-    """Run the matrix, persist JSON, refresh BENCH_matrix.json.
-
-    The single entry point behind ``python -m repro matrix`` and
-    ``python -m repro.bench.matrixsuite``; returns a process exit code
-    (non-zero when an equivalence gate fails).  Layout mirrors the
-    other suites: the series lands in ``benchmarks/results/``, the
-    merged ``BENCH_matrix.json`` next to them in ``benchmarks/``.
-    """
-    if results_dir is None:
-        results_dir = _DEFAULT_RESULTS
-        bench_dir = results_dir.parent
-    else:
-        results_dir = Path(results_dir)
-        bench_dir = results_dir
-    results_dir.mkdir(parents=True, exist_ok=True)
-
-    payload = run_suite(smoke=smoke)
-    out = results_dir / "matrix_suite.json"
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {out}")
-    _write_report_block(payload, results_dir)
-
-    from repro.bench.collect import collect_matrix
-
-    merged = collect_matrix(results_dir)
-    if merged is not None:
-        bench_out = bench_dir / "BENCH_matrix.json"
-        bench_out.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {bench_out}")
-
+def summary(payload: dict) -> list[str]:
+    """Identical composable cells and typed rejections, in one line."""
     valid = [c for c in payload["cells"] if c["valid"]]
     rejected = [c for c in payload["cells"] if not c["valid"]]
     identical = sum(
@@ -443,32 +407,8 @@ def run_and_write(
         if c["plan_identical"] and c["counters_identical"]
         and c["metrics_identical"] in (None, True)
     )
-    print(
+    return [
         f"matrix: {identical}/{len(valid)} composable cells byte-identical "
         f"to the legacy path, {len(rejected)} uncomposable cells rejected "
         "with typed SpecError"
-    )
-
-    failures = check_payload(payload)
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Standalone CLI wrapper around :func:`run_and_write`."""
-    import argparse
-
-    parser = argparse.ArgumentParser(prog="repro.bench.matrixsuite")
-    parser.add_argument("--smoke", action="store_true",
-                        help="reduced grid (CI smoke mode)")
-    parser.add_argument("--results-dir", default=None,
-                        help="override benchmarks/results output directory")
-    args = parser.parse_args(argv)
-    return run_and_write(smoke=args.smoke, results_dir=args.results_dir)
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    ]

@@ -1,7 +1,6 @@
 """Observability suite: telemetry must watch, never touch.
 
-``python -m repro bench-obs`` (or ``python -m repro.bench.obssuite``)
-sweeps the grid
+``python -m repro bench obs`` sweeps the grid
 
     {plain, stream} x shards {1, 2} x journal {off, on}
 
@@ -31,14 +30,11 @@ equality/op-count based per the repo's determinism policy:
 Cells the spec layer rejects (journal x plain) are recorded as typed
 rejections and the sweep asserts the rejection actually fires.
 Wall-clock is recorded for humans, never gated.  The merged artifact
-is ``benchmarks/BENCH_obs.json`` via
-:func:`repro.bench.collect.collect_obs`.
+is ``benchmarks/BENCH_obs.json``.
 """
 
 from __future__ import annotations
 
-import json
-import sys
 import tempfile
 import time
 from pathlib import Path
@@ -53,12 +49,11 @@ __all__ = [
     "OBS_MODES",
     "SHARD_COUNTS",
     "run_suite",
-    "run_and_write",
+    "summary",
+    "write_report_block",
     "check_payload",
-    "main",
 ]
 
-_DEFAULT_RESULTS = Path(__file__).resolve().parents[3] / "benchmarks" / "results"
 
 OBS_MODES = ("plain", "stream")
 SHARD_COUNTS = (1, 2)
@@ -252,7 +247,7 @@ def check_payload(payload: dict) -> list[str]:
     return failures
 
 
-def _write_report_block(payload: dict, results_dir: Path) -> None:
+def write_report_block(payload: dict, results_dir: Path) -> None:
     """Persist the human-readable observability block for REPORT.md."""
     from repro.bench import Reporter
 
@@ -293,37 +288,8 @@ def _write_report_block(payload: dict, results_dir: Path) -> None:
     reporter.close()
 
 
-def run_and_write(
-    *, smoke: bool = False, results_dir: str | Path | None = None
-) -> int:
-    """Run the suite, persist JSON, refresh BENCH_obs.json.
-
-    The single entry point behind ``python -m repro bench-obs`` and
-    ``python -m repro.bench.obssuite``; returns a process exit code
-    (non-zero when a gate fails).  Layout mirrors the other suites.
-    """
-    if results_dir is None:
-        results_dir = _DEFAULT_RESULTS
-        bench_dir = results_dir.parent
-    else:
-        results_dir = Path(results_dir)
-        bench_dir = results_dir
-    results_dir.mkdir(parents=True, exist_ok=True)
-
-    payload = run_suite(smoke=smoke)
-    out = results_dir / "obs_suite.json"
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {out}")
-    _write_report_block(payload, results_dir)
-
-    from repro.bench.collect import collect_obs
-
-    merged = collect_obs(results_dir)
-    if merged is not None:
-        bench_out = bench_dir / "BENCH_obs.json"
-        bench_out.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {bench_out}")
-
+def summary(payload: dict) -> list[str]:
+    """Clean composable cells and typed rejections, in one line."""
     valid = [c for c in payload["cells"] if c["valid"]]
     rejected = [c for c in payload["cells"] if not c["valid"]]
     clean = sum(
@@ -332,32 +298,8 @@ def run_and_write(
         and c["metrics_identical"] in (None, True)
         and c["masked_trace_identical"] and not c["missing_record_types"]
     )
-    print(
+    return [
         f"obs: {clean}/{len(valid)} composable cells identical-with-"
         f"telemetry and trace-deterministic, {len(rejected)} uncomposable "
         "cells rejected with typed SpecError"
-    )
-
-    failures = check_payload(payload)
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Standalone CLI wrapper around :func:`run_and_write`."""
-    import argparse
-
-    parser = argparse.ArgumentParser(prog="repro.bench.obssuite")
-    parser.add_argument("--smoke", action="store_true",
-                        help="smallest scenarios only (CI smoke mode)")
-    parser.add_argument("--results-dir", default=None,
-                        help="override benchmarks/results output directory")
-    args = parser.parse_args(argv)
-    return run_and_write(smoke=args.smoke, results_dir=args.results_dir)
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    ]

@@ -1,12 +1,11 @@
 """Parallel-executor suite: measured wall clock next to the modeled makespan.
 
-``python -m repro bench-par`` (or ``python -m repro.bench.parsuite``)
-runs the same seed-pinned scenarios under every
-:data:`~repro.par.executor.EXECUTOR_KINDS` at shard counts
+``python -m repro bench par`` runs the same seed-pinned scenarios
+under every :data:`~repro.par.executor.EXECUTOR_KINDS` at shard counts
 {1, 2, 4, 8} and persists them as
 ``benchmarks/results/par_suite.json``;
-:func:`repro.bench.collect.collect_par` merges every ``par*.json``
-series into ``benchmarks/BENCH_par.json``.
+the driver merges every ``par*.json`` series into
+``benchmarks/BENCH_par.json``.
 
 Two scenario arms:
 
@@ -51,12 +50,11 @@ __all__ = [
     "SMOKE_SHARD_COUNTS",
     "TARGET_SPEEDUP",
     "run_suite",
-    "run_and_write",
+    "summary",
+    "write_report_block",
     "check_payload",
-    "main",
 ]
 
-_DEFAULT_RESULTS = Path(__file__).resolve().parents[3] / "benchmarks" / "results"
 
 #: Every executor kind, serial first (the identity reference).
 EXECUTORS = EXECUTOR_KINDS
@@ -317,7 +315,7 @@ def check_payload(payload: dict) -> list[str]:
     return failures
 
 
-def _write_report_block(payload: dict, results_dir: Path) -> None:
+def write_report_block(payload: dict, results_dir: Path) -> None:
     """Persist the human-readable executor block for REPORT.md."""
     from repro.bench import Reporter
 
@@ -352,44 +350,15 @@ def _write_report_block(payload: dict, results_dir: Path) -> None:
     reporter.close()
 
 
-def run_and_write(
-    *, smoke: bool = False, results_dir: str | Path | None = None
-) -> int:
-    """Run the suite, persist JSON, refresh BENCH_par.json.
-
-    The single entry point behind ``python -m repro bench-par`` and
-    ``python -m repro.bench.parsuite``; returns a process exit code
-    (non-zero only when an *identity* gate fails — never because of a
-    wall-clock number).
-    """
-    if results_dir is None:
-        results_dir = _DEFAULT_RESULTS
-        bench_dir = results_dir.parent
-    else:
-        results_dir = Path(results_dir)
-        bench_dir = results_dir
-    results_dir.mkdir(parents=True, exist_ok=True)
-
-    payload = run_suite(smoke=smoke)
-    out = results_dir / "par_suite.json"
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {out}")
-    _write_report_block(payload, results_dir)
-
-    from repro.bench.collect import collect_par
-
-    merged = collect_par(results_dir)
-    if merged is not None:
-        bench_out = bench_dir / "BENCH_par.json"
-        bench_out.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {bench_out}")
-
+def summary(payload: dict) -> list[str]:
+    """Measured vs modeled speedup at the top shard count, per scenario."""
     cpu_count = payload["host"]["cpu_count"]
     top = str(payload["shard_counts"][-1])
+    lines = []
     for scenario in payload["scenarios"]:
         row = scenario["shards"][top]
         process = row["executors"]["process"]
-        print(
+        lines.append(
             f"{scenario['name']}: shards={top} process executor "
             f"{process['speedup_vs_serial']:.2f}x measured / "
             f"{row['modeled']['speedup']:.2f}x modeled "
@@ -398,32 +367,9 @@ def run_and_write(
             f"identical={row['identical']}"
         )
     if cpu_count < 2:
-        print(
+        lines.append(
             f"note: host has {cpu_count} CPU — measured speedup cannot "
             f"reach the {TARGET_SPEEDUP}x target here; the wall-clock "
             "columns are reported, never gated"
         )
-
-    failures = check_payload(payload)
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Standalone CLI wrapper around :func:`run_and_write`."""
-    import argparse
-
-    parser = argparse.ArgumentParser(prog="repro.bench.parsuite")
-    parser.add_argument("--smoke", action="store_true",
-                        help="smallest scenarios only (CI smoke mode)")
-    parser.add_argument("--results-dir", default=None,
-                        help="override benchmarks/results output directory")
-    args = parser.parse_args(argv)
-    return run_and_write(smoke=args.smoke, results_dir=args.results_dir)
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    return lines

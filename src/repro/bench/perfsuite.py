@@ -1,9 +1,8 @@
 """Deterministic performance suite: the machine-readable perf trajectory.
 
-``python -m repro bench-perf`` (or ``python -m repro.bench.perfsuite``)
-runs seed-pinned micro and macro benchmarks of the solver hot path and
-persists them as ``benchmarks/results/perf_suite.json``;
-:mod:`repro.bench.collect` merges every ``perf*.json`` series into
+``python -m repro bench perf`` runs seed-pinned micro and macro
+benchmarks of the solver hot path and persists them as ``benchmarks/results/perf_suite.json``;
+the driver merges every ``perf*.json`` series into
 ``benchmarks/BENCH_perf.json``, the file the perf trajectory
 accumulates in from PR to PR.
 
@@ -23,8 +22,6 @@ true apples-to-apples comparison of the same plan.
 
 from __future__ import annotations
 
-import json
-import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,12 +37,11 @@ __all__ = [
     "SMOKE_SCENARIOS",
     "VARIANTS",
     "run_suite",
-    "run_and_write",
+    "summary",
+    "write_report_block",
     "check_payload",
-    "main",
 ]
 
-_DEFAULT_RESULTS = Path(__file__).resolve().parents[3] / "benchmarks" / "results"
 
 #: The seed solver path every speedup is measured against.
 BASELINE_VARIANT = "python-enumerate"
@@ -225,7 +221,7 @@ def check_payload(payload: dict) -> list[str]:
     return failures
 
 
-def _write_report_block(payload: dict, results_dir: Path) -> None:
+def write_report_block(payload: dict, results_dir: Path) -> None:
     """Persist a human-readable summary block for REPORT.md."""
     from repro.bench import Reporter
 
@@ -245,69 +241,15 @@ def _write_report_block(payload: dict, results_dir: Path) -> None:
     reporter.close()
 
 
-def run_and_write(*, smoke: bool = False, results_dir: str | Path | None = None) -> int:
-    """Run the suite, persist JSON, refresh BENCH_perf.json.
-
-    The single entry point behind both ``python -m repro bench-perf``
-    and ``python -m repro.bench.perfsuite``; returns a process exit
-    code (non-zero when an op-count gate fails).
-
-    With the default layout, series land in ``benchmarks/results/``
-    and the merged ``BENCH_perf.json`` next to them in ``benchmarks/``;
-    a custom ``results_dir`` keeps *everything* inside that directory
-    (never its parent).
-    """
-    if results_dir is None:
-        results_dir = _DEFAULT_RESULTS
-        bench_dir = results_dir.parent
-    else:
-        results_dir = Path(results_dir)
-        bench_dir = results_dir
-    results_dir.mkdir(parents=True, exist_ok=True)
-
-    payload = run_suite(smoke=smoke)
-    out = results_dir / "perf_suite.json"
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {out}")
-    _write_report_block(payload, results_dir)
-
-    from repro.bench.collect import collect_perf
-
-    merged = collect_perf(results_dir)
-    if merged is not None:
-        bench_out = bench_dir / "BENCH_perf.json"
-        bench_out.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {bench_out}")
-
+def summary(payload: dict) -> list[str]:
+    """One line per scenario: headline speedup and lazy gain-eval ratio."""
+    lines = []
     for scenario in payload["scenarios"]:
         speed = scenario["speedups"]
-        print(
+        lines.append(
             f"{scenario['name']}: m={scenario['m']} "
             f"numpy+lazy {speed['numpy_lazy_vs_python_enumerate_wall']:.1f}x "
             f"wall-clock vs seed, lazy gain-eval ratio "
             f"{speed['lazy_gain_evaluation_ratio']:.3f}"
         )
-
-    failures = check_payload(payload)
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Standalone CLI wrapper around :func:`run_and_write`."""
-    import argparse
-
-    parser = argparse.ArgumentParser(prog="repro.bench.perfsuite")
-    parser.add_argument("--smoke", action="store_true",
-                        help="smallest scenario only (CI smoke mode)")
-    parser.add_argument("--results-dir", default=None,
-                        help="override benchmarks/results output directory")
-    args = parser.parse_args(argv)
-    return run_and_write(smoke=args.smoke, results_dir=args.results_dir)
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    return lines

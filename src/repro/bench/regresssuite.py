@@ -26,17 +26,16 @@ by an injected op-budget fault must localize to an exact, stable first
 divergent ``seq`` and its causal span.
 
 All comparisons are op-count/equality based; wall-clock never appears
-in a fingerprint.  The artifact is ``benchmarks/BENCH_regress.json``
-via :func:`repro.bench.collect.collect_regress`.
+in a fingerprint.  The artifact is ``benchmarks/BENCH_regress.json``.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 import tempfile
 from pathlib import Path
 
+from repro.bench.report import DEFAULT_RESULTS, publish
 from repro.degrade.chaos import InjectionSpec
 from repro.obs.query import diff_traces
 from repro.obs.regress import (
@@ -53,11 +52,11 @@ __all__ = [
     "REGRESS_CELLS",
     "run_suite",
     "run_and_write",
+    "summary",
+    "write_report_block",
     "check_payload",
-    "main",
 ]
 
-_DEFAULT_RESULTS = Path(__file__).resolve().parents[3] / "benchmarks" / "results"
 
 #: Workloads mirror the obs suite's smoke cells, so the ledger pins
 #: the same runs CI already exercises — small enough for every PR,
@@ -176,7 +175,7 @@ def run_suite(
     )
     # Committed artifacts must not leak machine-local absolute paths.
     try:
-        shown_dir = str(baselines_dir.relative_to(_DEFAULT_RESULTS.parents[1]))
+        shown_dir = str(baselines_dir.relative_to(DEFAULT_RESULTS.parents[1]))
     except ValueError:
         shown_dir = str(baselines_dir)
     cells: list[dict] = []
@@ -262,7 +261,7 @@ def check_payload(payload: dict, *, check: bool = True) -> list[str]:
     return failures
 
 
-def _write_report_block(payload: dict, results_dir: Path) -> None:
+def write_report_block(payload: dict, results_dir: Path) -> None:
     """Persist the human-readable ledger block for REPORT.md."""
     from repro.bench import Reporter
 
@@ -295,6 +294,22 @@ def _write_report_block(payload: dict, results_dir: Path) -> None:
     reporter.close()
 
 
+def summary(payload: dict) -> list[str]:
+    """The ledger status line, then one line per cell that is not clean."""
+    update = payload["mode"] == "update"
+    statuses = {cell["cell"]: cell["baseline"] for cell in payload["cells"]}
+    ok = sum(1 for status in statuses.values() if status in ("ok", "updated"))
+    lines = [
+        f"regress: {ok}/{len(statuses)} cells "
+        f"{'updated' if update else 'clean against the ledger'} "
+        f"({payload['baselines_dir']})"
+    ]
+    for cell, status in statuses.items():
+        if status not in ("ok", "updated"):
+            lines.append(f"  {cell}: {status}")
+    return lines
+
+
 def run_and_write(
     *,
     check: bool = False,
@@ -302,79 +317,20 @@ def run_and_write(
     results_dir: str | Path | None = None,
     baselines_dir: str | Path | None = None,
 ) -> int:
-    """Run the ledger suite, persist JSON, refresh BENCH_regress.json.
+    """Run the ledger suite and publish it; returns the exit code.
 
-    The single entry point behind ``python -m repro bench-regress``;
-    returns a process exit code (non-zero when a gate fails — in
-    ``--check`` mode that includes any drift or missing baseline).
+    Behind ``python -m repro bench-regress``: non-zero when a gate
+    fails — in ``--check`` mode that includes any drift or missing
+    baseline.
     """
     if check and update:
         print("--check and --update are mutually exclusive", file=sys.stderr)
         return 2
-    if results_dir is None:
-        results_dir = _DEFAULT_RESULTS
-        bench_dir = results_dir.parent
-    else:
-        results_dir = Path(results_dir)
-        bench_dir = results_dir
-    results_dir.mkdir(parents=True, exist_ok=True)
-
-    payload = run_suite(baselines_dir=baselines_dir, update=update)
-    out = results_dir / "regress_suite.json"
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {out}")
-    _write_report_block(payload, results_dir)
-
-    from repro.bench.collect import collect_regress
-
-    merged = collect_regress(results_dir)
-    if merged is not None:
-        bench_out = bench_dir / "BENCH_regress.json"
-        bench_out.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {bench_out}")
-
-    statuses = {cell["cell"]: cell["baseline"] for cell in payload["cells"]}
-    ok = sum(1 for status in statuses.values() if status in ("ok", "updated"))
-    print(
-        f"regress: {ok}/{len(statuses)} cells "
-        f"{'updated' if update else 'clean against the ledger'} "
-        f"({payload['baselines_dir']})"
+    return publish(
+        "regress",
+        run_suite(baselines_dir=baselines_dir, update=update),
+        results_dir,
+        write_block=write_report_block,
+        summary=summary,
+        check=lambda payload: check_payload(payload, check=check),
     )
-    for cell, status in statuses.items():
-        if status not in ("ok", "updated"):
-            print(f"  {cell}: {status}")
-
-    failures = check_payload(payload, check=check)
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Standalone CLI wrapper around :func:`run_and_write`."""
-    import argparse
-
-    parser = argparse.ArgumentParser(prog="repro.bench.regresssuite")
-    parser.add_argument("--check", action="store_true",
-                        help="CI mode: exit 1 on drift or missing baselines")
-    parser.add_argument("--update", action="store_true",
-                        help="regenerate benchmarks/baselines/ from the "
-                             "current code")
-    parser.add_argument("--results-dir", default=None,
-                        help="override benchmarks/results output directory")
-    parser.add_argument("--baselines-dir", default=None,
-                        help="override the benchmarks/baselines ledger "
-                             "directory")
-    args = parser.parse_args(argv)
-    return run_and_write(
-        check=args.check,
-        update=args.update,
-        results_dir=args.results_dir,
-        baselines_dir=args.baselines_dir,
-    )
-
-
-if __name__ == "__main__":
-    sys.exit(main())

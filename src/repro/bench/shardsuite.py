@@ -1,12 +1,11 @@
 """Deterministic shard-scaling suite: the horizontal-scaling trajectory.
 
-``python -m repro bench-shard`` (or ``python -m repro.bench.shardsuite``)
-runs seed-pinned serving rounds through
+``python -m repro bench shard`` runs seed-pinned serving rounds through
 :class:`~repro.shard.server.ShardedTCSCServer` at shard counts
 {1, 2, 4, 8} and persists them as
 ``benchmarks/results/shard_suite.json``;
-:func:`repro.bench.collect.collect_shard` merges every ``shard*.json``
-series into ``benchmarks/BENCH_shard.json``.
+the driver merges every ``shard*.json`` series into
+``benchmarks/BENCH_shard.json``.
 
 Two scenario families:
 
@@ -27,8 +26,6 @@ op-count invariants only; wall-clock is recorded for humans.
 
 from __future__ import annotations
 
-import json
-import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -44,12 +41,11 @@ __all__ = [
     "SCENARIOS",
     "SMOKE_SCENARIOS",
     "run_suite",
-    "run_and_write",
+    "summary",
+    "write_report_block",
     "check_payload",
-    "main",
 ]
 
-_DEFAULT_RESULTS = Path(__file__).resolve().parents[3] / "benchmarks" / "results"
 
 #: Shard counts every scenario is swept over (the acceptance grid).
 SHARD_COUNTS = (1, 2, 4, 8)
@@ -83,7 +79,7 @@ SMOKE_SCENARIOS = (
 )
 
 
-def _run_scenario(scenario: ShardScenario, *, backend: str = "python") -> dict:
+def _run_scenario(scenario: ShardScenario) -> dict:
     built = build_scenario(
         ScenarioConfig(
             num_tasks=scenario.tasks,
@@ -95,7 +91,7 @@ def _run_scenario(scenario: ShardScenario, *, backend: str = "python") -> dict:
     # Both arms resolve through the runtime's shared spec -> solver
     # path: shards=1 is the sequential reference, shard rows force the
     # coordinator (the degenerate one-shard row measures exactly it).
-    spec = RunSpec(mode="plain", backend=backend)
+    spec = RunSpec(mode="plain")
     start = time.perf_counter()
     reference = build_serving_solver(spec, built.pool, built.bbox).assign(
         built.tasks
@@ -146,15 +142,15 @@ def _run_scenario(scenario: ShardScenario, *, backend: str = "python") -> dict:
     }
 
 
-def run_suite(*, smoke: bool = False, backend: str = "python") -> dict:
+def run_suite(*, smoke: bool = False) -> dict:
     """Run the suite and return the machine-readable payload."""
     scenarios = SMOKE_SCENARIOS if smoke else SCENARIOS
     return {
         "suite": "shardsuite",
         "mode": "smoke" if smoke else "full",
-        "backend": backend,
+        "backend": "python",
         "shard_counts": list(SHARD_COUNTS),
-        "scenarios": [_run_scenario(s, backend=backend) for s in scenarios],
+        "scenarios": [_run_scenario(s) for s in scenarios],
     }
 
 
@@ -195,7 +191,7 @@ def check_payload(payload: dict) -> list[str]:
     return failures
 
 
-def _write_report_block(payload: dict, results_dir: Path) -> None:
+def write_report_block(payload: dict, results_dir: Path) -> None:
     """Persist the human-readable shard-scaling block for REPORT.md."""
     from repro.bench import Reporter
 
@@ -222,79 +218,15 @@ def _write_report_block(payload: dict, results_dir: Path) -> None:
     reporter.close()
 
 
-def run_and_write(
-    *,
-    smoke: bool = False,
-    results_dir: str | Path | None = None,
-    backend: str = "python",
-) -> int:
-    """Run the suite, persist JSON, refresh BENCH_shard.json.
-
-    The single entry point behind ``python -m repro bench-shard`` and
-    ``python -m repro.bench.shardsuite``; returns a process exit code
-    (non-zero when a determinism gate fails).  Layout mirrors the perf
-    suite: series land in ``benchmarks/results/``, the merged
-    ``BENCH_shard.json`` next to them in ``benchmarks/`` (a custom
-    ``results_dir`` keeps everything inside that directory).
-    """
-    if results_dir is None:
-        results_dir = _DEFAULT_RESULTS
-        bench_dir = results_dir.parent
-    else:
-        results_dir = Path(results_dir)
-        bench_dir = results_dir
-    results_dir.mkdir(parents=True, exist_ok=True)
-
-    payload = run_suite(smoke=smoke, backend=backend)
-    out = results_dir / "shard_suite.json"
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {out}")
-    _write_report_block(payload, results_dir)
-
-    from repro.bench.collect import collect_shard
-
-    merged = collect_shard(results_dir)
-    if merged is not None:
-        bench_out = bench_dir / "BENCH_shard.json"
-        bench_out.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {bench_out}")
-
+def summary(payload: dict) -> list[str]:
+    """One line per scenario at the largest shard count."""
+    lines = []
     for scenario in payload["scenarios"]:
         best = scenario["shards"][str(SHARD_COUNTS[-1])]
-        print(
+        lines.append(
             f"{scenario['name']}: tasks={scenario['tasks']} m={scenario['m']} "
             f"shards={SHARD_COUNTS[-1]} speedup {best['speedup']:.2f}x op-makespan "
             f"(conflicts={best['conflicts']} reconciled={best['reconciled']}), "
             f"plans identical={best['plan_identical']}"
         )
-
-    failures = check_payload(payload)
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Standalone CLI wrapper around :func:`run_and_write`."""
-    import argparse
-
-    from repro.core.evaluator import EVALUATOR_BACKENDS
-
-    parser = argparse.ArgumentParser(prog="repro.bench.shardsuite")
-    parser.add_argument("--smoke", action="store_true",
-                        help="smallest scenarios only (CI smoke mode)")
-    parser.add_argument("--results-dir", default=None,
-                        help="override benchmarks/results output directory")
-    parser.add_argument("--backend", choices=list(EVALUATOR_BACKENDS),
-                        default="python",
-                        help="quality-kernel backend for every solve")
-    args = parser.parse_args(argv)
-    return run_and_write(
-        smoke=args.smoke, results_dir=args.results_dir, backend=args.backend
-    )
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    return lines

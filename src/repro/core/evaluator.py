@@ -225,15 +225,21 @@ class TemporalQualityEvaluator:
             raise ConfigurationError(f"slot {slot} already executed")
         if self._kernel is not None:
             return self._gain_over_range_numpy(slot, reliability, lo, hi)
-        self.counters.gain_evaluations += 1
-        delta = entropy_term(reliability / self.m) - entropy_term(self._p[slot])
-        self.counters.slot_evaluations += 1
+        counters = self.counters
+        counters.gain_evaluations += 1
+        p = self._p
+        delta = entropy_term(reliability / self.m) - entropy_term(p[slot])
+        counters.slot_evaluations += 1
+        # The reliability map's keys are exactly the executed slots; a
+        # dict lookup is cheaper than the sorted set's bisect.
+        executed = self._reliability
+        p_with_extra = self._p_with_extra
         for u in range(lo, hi + 1):
-            if u == slot or u in self._executed:
+            if u == slot or u in executed:
                 continue
-            new_p = self._p_with_extra(u, slot, reliability)
-            self.counters.slot_evaluations += 1
-            delta += entropy_term(new_p) - entropy_term(self._p[u])
+            new_p = p_with_extra(u, slot, reliability)
+            counters.slot_evaluations += 1
+            delta += entropy_term(new_p) - entropy_term(p[u])
         return delta
 
     # ------------------------------------------------------------------
@@ -406,24 +412,11 @@ class TemporalQualityEvaluator:
     def _p_with_extra(self, slot: int, extra: int, extra_reliability: float) -> float:
         """Probability of unexecuted ``slot`` if ``extra`` were executed."""
         m, k = self.m, self.k
-        neighbors = self._neighbors_of(slot)
-        # Merge `extra` into the k-NN list by (distance, index).
-        d_extra = abs(extra - slot)
-        merged: list[int] = []
-        inserted = False
-        for e in neighbors:
-            if not inserted:
-                d_e = abs(e - slot)
-                if (d_extra, extra) < (d_e, e):
-                    merged.append(extra)
-                    inserted = True
-            merged.append(e)
-        if not inserted:
-            merged.append(extra)
-        merged = merged[:k]
+        self.counters.knn_queries += 1
+        reliability = self._reliability
         total = 0.0
-        for e in merged:
-            lam = extra_reliability if e == extra else self._reliability[e]
+        for e in self._executed.k_nearest_with(slot, k, extra):
+            lam = extra_reliability if e == extra else reliability[e]
             total += lam * (m - abs(e - slot))
         return total / (k * m * m)
 

@@ -8,7 +8,7 @@ core, and PR 6/7's deterministic-signal policy idiom drives *when*
 placement changes.  The result is rebalancing that provably never
 changes what is computed: every migration is verified record-by-
 record and state-by-state before ownership flips, and
-``python -m repro bench-elastic`` sweeps a migration across every
+``python -m repro bench elastic`` sweeps a migration across every
 event boundary asserting byte-identical plans, metrics, and op
 counters against the never-migrated run.
 """

@@ -28,7 +28,7 @@ spec-level switch; ``python -m repro trace-report`` renders a trace.
 
 Zero-overhead contract: attaching telemetry must not change the plan,
 the stream metrics, or a single op count — ``python -m repro
-bench-obs`` gates it across the {plain, stream} x shards x journal
+bench obs`` gates it across the {plain, stream} x shards x journal
 grid.
 
 On top of the record stream sits the trace analytics engine:

@@ -24,7 +24,7 @@ results are JSON strings, so no pickle-dependent representation can
 drift; solves are deterministic functions of decoded state; results
 are merged in shard-id order regardless of completion order.  CI gates
 only that identity — wall-clock speedup is measured and reported by
-``bench-par`` but never asserted.
+``bench par`` but never asserted.
 """
 
 from repro.par.executor import (

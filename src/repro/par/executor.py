@@ -11,7 +11,7 @@ One :class:`Executor` decides *where* a batch of independent work runs:
 
 There is no thread kind: the GIL serializes the solvers' bytecode, and
 a thread pool measured 0.38-1.04x against serial on the committed
-``bench-par`` cells (DESIGN.md §14).
+``bench par`` cells (DESIGN.md §14).
 
 Determinism: :meth:`map_units` always returns results in submission
 order, whatever order the workers finish in.

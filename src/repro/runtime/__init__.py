@@ -21,7 +21,7 @@ collapses the lattice into three orthogonal pieces:
   validated spec into the composed stack and returns a handle whose
   ``run()`` yields the three byte-identity artifacts
   (``plan_signature`` / ``metrics`` / ``counters``) the equivalence
-  matrix (``python -m repro matrix``) gates on.
+  matrix (``python -m repro bench matrix``) gates on.
 
 Quickstart::
 

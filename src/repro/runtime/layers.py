@@ -26,7 +26,7 @@ Hook contract (all optional; the base class is a no-op):
   realized.
 
 Determinism: layers must not perturb solver state or op counters —
-the equivalence matrix (``python -m repro matrix``) hard-asserts that
+the equivalence matrix (``python -m repro bench matrix``) hard-asserts that
 a layered run's ``plan_signature()``, ``StreamMetrics``, and
 ``OpCounters`` are byte-identical to the bare core's.
 """

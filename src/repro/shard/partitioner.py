@@ -208,14 +208,20 @@ class SpatialPartitioner:
         n = self.cells_per_side
         cw = self.bbox.width / n
         ch = self.bbox.height / n
-        best = [math.inf] * self.num_shards
+        num_shards = self.num_shards
+        cells = n * n
+        best = [math.inf] * num_shards
+        dxs = []
+        for col in range(n):
+            min_x = self.bbox.min_x + col * cw
+            dxs.append(max(min_x - p.x, 0.0, p.x - (min_x + cw)))
         for row in range(n):
             min_y = self.bbox.min_y + row * ch
             dy = max(min_y - p.y, 0.0, p.y - (min_y + ch))
-            for col in range(n):
-                min_x = self.bbox.min_x + col * cw
-                dx = max(min_x - p.x, 0.0, p.x - (min_x + cw))
-                shard = self.shard_of_cell(col, row)
+            for col, dx in enumerate(dxs):
+                # shard_of_cell(col, row), inlined: this is the router's
+                # per-location hot loop.
+                shard = (row * n + col) * num_shards // cells
                 dist = math.hypot(dx, dy)
                 if dist < best[shard]:
                     best[shard] = dist

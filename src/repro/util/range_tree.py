@@ -32,6 +32,10 @@ class RangeAddMaxTree:
         hi = min(self.n, hi)
         if hi < lo or value == 0.0:
             return
+        if lo == 1 and hi == self.n:
+            self._max[1] += value
+            self._lazy[1] += value
+            return
         self._add(1, 1, self.n, lo, hi, value)
 
     def max_in(self, lo: int, hi: int) -> float:
@@ -70,16 +74,30 @@ class RangeAddMaxTree:
     # Internals
     # ------------------------------------------------------------------
     def _add(self, node: int, l: int, r: int, lo: int, hi: int, value: float) -> None:
-        if hi < l or r < lo:
-            return
-        if lo <= l and r <= hi:
-            self._max[node] += value
-            self._lazy[node] += value
-            return
+        # ``[l, r]`` overlaps ``[lo, hi]`` without lying inside it.  A
+        # child is visited only if it overlaps, and a covered child is
+        # updated in place, so no call is spent on a no-op.
+        tree_max = self._max
+        lazy = self._lazy
         mid = (l + r) // 2
-        self._add(2 * node, l, mid, lo, hi, value)
-        self._add(2 * node + 1, mid + 1, r, lo, hi, value)
-        self._max[node] = self._lazy[node] + max(self._max[2 * node], self._max[2 * node + 1])
+        left = 2 * node
+        right = left + 1
+        if lo <= mid:
+            if lo <= l and mid <= hi:
+                tree_max[left] += value
+                lazy[left] += value
+            else:
+                self._add(left, l, mid, lo, hi, value)
+        if hi > mid:
+            if lo <= mid + 1 and r <= hi:
+                tree_max[right] += value
+                lazy[right] += value
+            else:
+                self._add(right, mid + 1, r, lo, hi, value)
+        # ``b if b > a else a`` is exactly ``max(a, b)``, NaN included.
+        a = tree_max[left]
+        b = tree_max[right]
+        tree_max[node] = lazy[node] + (b if b > a else a)
 
     def _query(self, node: int, l: int, r: int, lo: int, hi: int) -> float:
         if lo <= l and r <= hi:

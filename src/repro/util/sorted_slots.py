@@ -114,6 +114,47 @@ class SortedSlots:
                     right += 1
         return out
 
+    def k_nearest_with(self, slot: int, k: int, extra: int) -> list[int]:
+        """:meth:`k_nearest` over the stored slots plus ``extra``.
+
+        ``extra`` must not be stored.  The order is the same (distance,
+        then the smaller index), so this equals merging ``extra`` into
+        ``k_nearest(slot, k)`` and keeping the first ``k`` — without
+        building the intermediate list.  It answers "the k-NN set if
+        ``extra`` were executed", the evaluator's innermost query.
+        """
+        slots = self._slots
+        n = len(slots)
+        left = bisect_left(slots, slot) - 1
+        right = left + 1
+        d_extra = abs(extra - slot)
+        pending = True
+        out: list[int] = []
+        while len(out) < k:
+            if left >= 0:
+                e = slots[left]
+                d = slot - e
+                if right < n and slots[right] - slot < d:
+                    e = slots[right]
+                    d = e - slot
+            elif right < n:
+                e = slots[right]
+                d = e - slot
+            else:
+                if pending:
+                    out.append(extra)
+                break
+            if pending and (d_extra < d or (d_extra == d and extra < e)):
+                out.append(extra)
+                pending = False
+            else:
+                out.append(e)
+                if e < slot:
+                    left -= 1
+                else:
+                    right += 1
+        return out
+
     def kth_left(self, slot: int, k: int) -> int | None:
         """The ``k``-th stored slot strictly below ``slot`` (1-based)."""
         i = bisect_left(self._slots, slot)

@@ -26,6 +26,33 @@ from repro.util.rng import make_rng
 __all__ = ["TaxiTrajectoryGenerator"]
 
 
+class _UniformDraws:
+    """Scalar ``Generator.uniform`` draws served from vectorized batches.
+
+    ``low + (high - low) * u`` is numpy's own formula for ``uniform``,
+    so every value is bit-identical to the scalar call it replaces.
+    :meth:`close` rewinds the generator and re-advances it by exactly
+    the draws consumed, leaving it where the scalar calls would have.
+    """
+
+    def __init__(self, rng: np.random.Generator, size: int):
+        self._rng = rng
+        self._state = rng.bit_generator.state
+        self._buffer = rng.random(size).tolist()
+        self._used = 0
+
+    def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
+        if self._used == len(self._buffer):
+            self._buffer += self._rng.random(len(self._buffer)).tolist()
+        u = self._buffer[self._used]
+        self._used += 1
+        return low + (high - low) * u
+
+    def close(self) -> None:
+        self._rng.bit_generator.state = self._state
+        self._rng.random(self._used)
+
+
 class TaxiTrajectoryGenerator:
     """Random-waypoint worker trajectories with 1-5-slot active windows."""
 
@@ -77,9 +104,9 @@ class TaxiTrajectoryGenerator:
     # ------------------------------------------------------------------
     # Trajectory synthesis
     # ------------------------------------------------------------------
-    def _waypoint(self) -> Point:
+    def _waypoint(self, uniform) -> Point:
         rng = self._rng
-        if self.hotspot_bias > 0.0 and rng.uniform() < self.hotspot_bias:
+        if self.hotspot_bias > 0.0 and uniform() < self.hotspot_bias:
             hotspot = self._hotspots[int(rng.integers(len(self._hotspots)))]
             sigma = 0.05 * max(self.bbox.width, self.bbox.height)
             return self.bbox.clamp(
@@ -89,25 +116,34 @@ class TaxiTrajectoryGenerator:
                 )
             )
         return Point(
-            float(rng.uniform(self.bbox.min_x, self.bbox.max_x)),
-            float(rng.uniform(self.bbox.min_y, self.bbox.max_y)),
+            float(uniform(self.bbox.min_x, self.bbox.max_x)),
+            float(uniform(self.bbox.min_y, self.bbox.max_y)),
         )
 
     def trajectory(self) -> list[Point]:
         """One full trajectory: a location per slot ``1..horizon``."""
-        rng = self._rng
-        position = self._waypoint()
-        target = self._waypoint()
+        if self.hotspot_bias > 0.0:
+            # Hotspot waypoints mix normal and integer draws in.
+            return self._walk(self._rng.uniform)
+        draws = _UniformDraws(self._rng, self.horizon + 8)
+        try:
+            return self._walk(draws.uniform)
+        finally:
+            draws.close()
+
+    def _walk(self, uniform) -> list[Point]:
+        position = self._waypoint(uniform)
+        target = self._waypoint(uniform)
         path = []
         for _ in range(self.horizon):
             path.append(position)
             dx = target.x - position.x
             dy = target.y - position.y
             dist = math.hypot(dx, dy)
-            step = float(self.speed * rng.uniform(0.5, 1.5))
+            step = float(self.speed * uniform(0.5, 1.5))
             if dist <= step:
                 position = target
-                target = self._waypoint()
+                target = self._waypoint(uniform)
             else:
                 position = Point(
                     position.x + dx / dist * step, position.y + dy / dist * step

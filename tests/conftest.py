@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib
+import json
+
 import pytest
 
 from repro.engine.costs import SingleTaskCostTable
@@ -44,3 +47,28 @@ def medium_costs(medium_scenario):
     return SingleTaskCostTable(
         medium_scenario.single_task, medium_scenario.fresh_registry()
     )
+
+
+@pytest.fixture()
+def bench_smoke(tmp_path, capsys):
+    """Run ``python -m repro bench SUITE --smoke`` into ``tmp_path``.
+
+    Asserts the shared driver contract — exit 0, ``<suite>_suite.json``
+    and ``BENCH_<suite>.json`` inside the custom results dir, and a
+    payload the suite's own ``check_payload`` passes — and returns
+    ``(stdout, payload)`` for the suite-specific assertions.
+    """
+    from repro.__main__ import main
+
+    def run(suite):
+        code = main(["bench", suite, "--smoke", "--results-dir", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert (tmp_path / f"{suite}_suite.json").exists()
+        assert (tmp_path / f"BENCH_{suite}.json").exists()
+        payload = json.loads((tmp_path / f"{suite}_suite.json").read_text())
+        module = importlib.import_module(f"repro.bench.{suite}suite")
+        assert module.check_payload(payload) == []
+        return out, payload
+
+    return run

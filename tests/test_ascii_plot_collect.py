@@ -11,18 +11,27 @@ from repro.bench.ascii_plot import bar_chart, line_chart
 from repro.bench.collect import (
     COLLECTORS,
     collect,
-    collect_degrade,
-    collect_journal,
-    collect_obs,
-    collect_shard,
-    collect_stream,
+    collect_series,
     main,
-    reset_unrecognized_warnings,
     unrecognized_artifacts,
 )
+from repro.bench.report import SUITES
 from repro.errors import ConfigurationError
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+def _results_with_series(tmp_path, *, skip=()):
+    """A results dir holding one figure block plus a series for every
+    registered artifact (except ``skip``), so ``main`` can regenerate
+    them all."""
+    results = tmp_path / "results"
+    results.mkdir()
+    (results / "fig6a.txt").write_text("# fig6a: early\nrow\n")
+    for series in COLLECTORS.values():
+        if series not in skip:
+            (results / f"{series}_suite.json").write_text("{}\n")
+    return results
 
 
 class TestLineChart:
@@ -90,12 +99,22 @@ class TestCollect:
         assert "3 figure series" in report
 
     def test_main_writes_report(self, tmp_path, capsys):
-        (tmp_path / "fig6a.txt").write_text("# fig6a: early\nrow\n")
-        code = main([str(tmp_path)])
-        assert code == 0
-        assert (tmp_path.parent / "REPORT.md").exists() or (
-            tmp_path / ".." / "REPORT.md"
-        ).resolve().exists()
+        results = _results_with_series(tmp_path)
+        assert main([str(results)]) == 0
+        assert "fig6a" in (tmp_path / "REPORT.md").read_text()
+
+    def test_main_fails_on_missing_registered_artifact(self, tmp_path, capsys):
+        results = _results_with_series(tmp_path, skip=("par", "regress"))
+        assert main([str(results)]) == 1
+        err = capsys.readouterr().err
+        # REPORT.md is still written, and every missing artifact named.
+        assert (tmp_path / "REPORT.md").exists()
+        assert "BENCH_par.json" in err and "BENCH_regress.json" in err
+        assert "missing" in err and "BENCH_perf.json" not in err
+        # A present (even stale) artifact is not missing.
+        (tmp_path / "BENCH_par.json").write_text('{"series": {}}\n')
+        (tmp_path / "BENCH_regress.json").write_text('{"series": {}}\n')
+        assert main([str(results)]) == 0
 
     def test_main_missing_dir(self, tmp_path, capsys):
         assert main([str(tmp_path / "nope")]) == 1
@@ -103,47 +122,46 @@ class TestCollect:
     def test_collect_stream_merges_json_series(self, tmp_path):
         (tmp_path / "stream1.json").write_text('{"events_per_sec": 10.0}\n')
         (tmp_path / "stream2.json").write_text('{"events_per_sec": 20.0}\n')
-        merged = collect_stream(tmp_path)
+        merged = collect_series("stream", tmp_path)
         assert set(merged["series"]) == {"stream1", "stream2"}
         assert merged["series"]["stream1"]["events_per_sec"] == 10.0
 
     def test_collect_stream_none_without_series(self, tmp_path):
-        assert collect_stream(tmp_path) is None
+        assert collect_series("stream", tmp_path) is None
 
     def test_main_writes_bench_stream_json(self, tmp_path, capsys):
-        results = tmp_path / "results"
-        results.mkdir()
-        (results / "fig6a.txt").write_text("# fig6a: early\nrow\n")
+        results = _results_with_series(tmp_path, skip=("stream",))
         (results / "stream1.json").write_text('{"events_per_sec": 10.0}\n')
         assert main([str(results)]) == 0
         payload = json.loads((tmp_path / "BENCH_stream.json").read_text())
-        assert "stream1" in payload["series"]
+        assert set(payload["series"]) == {"stream1"}
+        assert payload["generated_by"] == "python -m repro.bench.collect"
 
     def test_collect_shard_merges_json_series(self, tmp_path):
         (tmp_path / "shard_suite.json").write_text('{"suite": "shardsuite"}\n')
-        merged = collect_shard(tmp_path)
+        merged = collect_series("shard", tmp_path)
         assert set(merged["series"]) == {"shard_suite"}
-        assert "bench-shard" in merged["generated_by"]
+        assert merged["generated_by"] == "python -m repro bench shard"
 
     def test_collect_journal_merges_json_series(self, tmp_path):
         (tmp_path / "journal_suite.json").write_text('{"suite": "journalsuite"}\n')
-        merged = collect_journal(tmp_path)
+        merged = collect_series("journal", tmp_path)
         assert set(merged["series"]) == {"journal_suite"}
-        assert "bench-journal" in merged["generated_by"]
+        assert merged["generated_by"] == "python -m repro bench journal"
 
     def test_collect_obs_merges_json_series(self, tmp_path):
         (tmp_path / "obs_suite.json").write_text('{"suite": "obssuite"}\n')
-        merged = collect_obs(tmp_path)
+        merged = collect_series("obs", tmp_path)
         assert set(merged["series"]) == {"obs_suite"}
-        assert "bench-obs" in merged["generated_by"]
+        assert merged["generated_by"] == "python -m repro bench obs"
 
     def test_collect_degrade_merges_json_series(self, tmp_path):
         (tmp_path / "degrade_suite.json").write_text(
             '{"suite": "degradesuite"}\n'
         )
-        merged = collect_degrade(tmp_path)
+        merged = collect_series("degrade", tmp_path)
         assert set(merged["series"]) == {"degrade_suite"}
-        assert "bench-degrade" in merged["generated_by"]
+        assert merged["generated_by"] == "python -m repro bench degrade"
 
     def test_every_registered_artifact_has_a_collector(self):
         assert set(COLLECTORS) == {
@@ -152,9 +170,9 @@ class TestCollect:
             "BENCH_degrade.json", "BENCH_elastic.json",
             "BENCH_regress.json", "BENCH_par.json",
         }
-        for pattern, collector in COLLECTORS.values():
-            assert pattern.endswith("*.json")
-            assert callable(collector)
+        assert list(COLLECTORS.values()) == ["stream", *SUITES, "regress"]
+        for name, series in COLLECTORS.items():
+            assert name == f"BENCH_{series}.json"
         # Every registered artifact is committed: docs and CI link them.
         missing = sorted(n for n in COLLECTORS if not (BENCHMARKS / n).is_file())
         assert missing == []
@@ -165,9 +183,7 @@ class TestCollect:
         assert unrecognized_artifacts(tmp_path) == ["BENCH_mystery.json"]
 
     def test_main_warns_on_stale_registered_artifact(self, tmp_path, capsys):
-        results = tmp_path / "results"
-        results.mkdir()
-        (results / "fig6a.txt").write_text("# fig6a: early\nrow\n")
+        results = _results_with_series(tmp_path, skip=("stream",))
         # A registered artifact whose source series vanished: it must
         # be flagged as stale, not silently skipped.
         (tmp_path / "BENCH_stream.json").write_text('{"series": {}}\n')
@@ -177,47 +193,25 @@ class TestCollect:
         assert "stale" in err
 
     def test_main_warns_on_unrecognized_artifact(self, tmp_path, capsys):
-        reset_unrecognized_warnings()
-        results = tmp_path / "results"
-        results.mkdir()
-        (results / "fig6a.txt").write_text("# fig6a: early\nrow\n")
+        results = _results_with_series(tmp_path)
         (tmp_path / "BENCH_mystery.json").write_text("{}\n")
-        assert main([str(results)]) == 0
-        err = capsys.readouterr().err
-        assert "BENCH_mystery.json" in err
-        assert "no registered collector" in err
-        reset_unrecognized_warnings()
-
-    def test_unrecognized_warning_fires_once_per_process(self, tmp_path, capsys):
-        """Suites re-enter main() after every run; the same stale
-        artifact must not warn again and again."""
-        reset_unrecognized_warnings()
-        results = tmp_path / "results"
-        results.mkdir()
-        (results / "fig6a.txt").write_text("# fig6a: early\nrow\n")
-        (tmp_path / "BENCH_mystery.json").write_text("{}\n")
-        assert main([str(results)]) == 0
         assert main([str(results)]) == 0
         err = capsys.readouterr().err
         assert err.count("BENCH_mystery.json") == 1
-        # Re-arming restores the warning (a fresh process would warn).
-        reset_unrecognized_warnings()
-        assert main([str(results)]) == 0
-        assert "BENCH_mystery.json" in capsys.readouterr().err
-        reset_unrecognized_warnings()
+        assert "no registered collector" in err
 
     def test_report_ingests_bench_artifacts(self, tmp_path):
         results = tmp_path / "results"
         results.mkdir()
         (results / "fig6a.txt").write_text("# fig6a: early\nrow\n")
         (tmp_path / "BENCH_shard.json").write_text(
-            json.dumps({"generated_by": "python -m repro bench-shard",
+            json.dumps({"generated_by": "python -m repro bench shard",
                         "series": {"shard_suite": {}}})
         )
         report = collect(results)
         assert "Machine-readable artifacts" in report
         assert "BENCH_shard.json" in report
-        assert "bench-shard" in report
+        assert "python -m repro bench shard" in report
 
     def test_report_flags_unrecognized_artifacts(self, tmp_path):
         results = tmp_path / "results"

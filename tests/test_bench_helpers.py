@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import importlib
+import inspect
+import json
+
 import pytest
 
 from repro.bench.baselines import random_multi_assignment
-from repro.bench.report import Reporter
+from repro.bench.collect import collect_series
+from repro.bench.report import SUITES, Reporter, publish
 from repro.core.quality import task_quality
 from repro.workloads.scenario import ScenarioConfig, build_scenario
 
@@ -142,3 +147,50 @@ class TestShardSuiteGates:
                 1, perf.m, perf.workers, perf.seed
             )
         assert SHARD_COUNTS == (1, 2, 4, 8)
+
+
+class TestSuiteDriver:
+    """The one ``bench SUITE`` driver: every suite module meets its
+    contract, and every file name derives from the suite name."""
+
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_suite_module_contract(self, suite):
+        module = importlib.import_module(f"repro.bench.{suite}suite")
+        for name in ("run_suite", "check_payload", "write_report_block", "summary"):
+            assert callable(getattr(module, name)), name
+        smoke = inspect.signature(module.run_suite).parameters["smoke"]
+        assert smoke.kind is inspect.Parameter.KEYWORD_ONLY
+
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_series_merge_is_per_suite(self, suite, tmp_path):
+        # Every suite's series side by side in one results dir, plus the
+        # non-suite series: no suite's glob may pick up another's file.
+        for name in (*SUITES, "regress"):
+            (tmp_path / f"{name}_suite.json").write_text(json.dumps({"suite": name}))
+        (tmp_path / "stream1.json").write_text("{}")
+        merged = collect_series(suite, tmp_path)
+        assert merged["series"] == {f"{suite}_suite": {"suite": suite}}
+        assert merged["generated_by"] == f"python -m repro bench {suite}"
+
+    def test_publish_writes_before_gating(self, tmp_path, capsys):
+        blocks = []
+        code = publish(
+            "perf",
+            {"cells": 2},
+            tmp_path,
+            write_block=lambda payload, results: blocks.append(results),
+            summary=lambda payload: [f"cells={payload['cells']}"],
+            check=lambda payload: ["first broken gate", "second broken gate"],
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert blocks == [tmp_path]
+        # The diagnostic payload and the merged artifact are left behind.
+        assert json.loads((tmp_path / "perf_suite.json").read_text()) == {"cells": 2}
+        merged = json.loads((tmp_path / "BENCH_perf.json").read_text())
+        assert merged["series"] == {"perf_suite": {"cells": 2}}
+        assert "cells=2" in captured.out
+        assert captured.err.splitlines() == [
+            "FAIL: first broken gate",
+            "FAIL: second broken gate",
+        ]

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from repro.__main__ import build_parser, main
+from repro.bench.report import SUITES
 from repro.runtime import RunSpec, WorkloadSpec
 
 
@@ -50,19 +53,41 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["solve-single", "--backend", "fortran"])
 
-    def test_bench_perf_options(self):
-        args = build_parser().parse_args(["bench-perf", "--smoke"])
-        assert args.smoke is True
-        assert args.results_dir is None
-
-    def test_bench_shard_options(self):
-        args = build_parser().parse_args(["bench-shard"])
-        assert args.smoke is False
-        assert args.backend == "python"
+    def test_bench_options(self, capsys):
+        for suite in SUITES:
+            args = build_parser().parse_args(["bench", suite])
+            assert (args.suite, args.smoke, args.results_dir) == (suite, False, None)
         args = build_parser().parse_args(
-            ["bench-shard", "--smoke", "--backend", "numpy"]
+            ["bench", "matrix", "--smoke", "--results-dir", "out"]
         )
-        assert (args.smoke, args.backend) == (True, "numpy")
+        assert (args.suite, args.smoke, args.results_dir) == ("matrix", True, "out")
+        # Retired spellings, unknown suites, and the dropped --backend
+        # are argparse errors, not aliases.
+        retired = [[f"bench-{suite}"] for suite in SUITES] + [["matrix"]]
+        for argv in retired + [["bench", "nope"], ["bench"],
+                               ["bench", "shard", "--backend", "numpy"]]:
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args(argv)
+            assert excinfo.value.code == 2
+
+    def test_bench_perf_options(self):
+        args = build_parser().parse_args(["bench", "perf", "--smoke"])
+        assert (args.suite, args.smoke, args.results_dir) == ("perf", True, None)
+
+    def test_bench_shard_options(self, capsys):
+        args = build_parser().parse_args(["bench", "shard"])
+        assert (args.suite, args.smoke) == ("shard", False)
+        # The suite pins its own backends; the old flag is gone.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["bench", "shard", "--smoke", "--backend", "numpy"])
+        assert excinfo.value.code == 2
+
+    def test_matrix_options(self, capsys):
+        args = build_parser().parse_args(["bench", "matrix", "--smoke"])
+        assert (args.suite, args.smoke, args.results_dir) == ("matrix", True, None)
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["matrix", "--smoke"])
+        assert excinfo.value.code == 2
 
     def test_simulate_shard_flags(self):
         args = build_parser().parse_args(["simulate"])
@@ -101,11 +126,6 @@ class TestParser:
             "s.json", "stream", 2, "numpy"
         )
         assert args.print_spec
-
-    def test_matrix_options(self):
-        args = build_parser().parse_args(["matrix", "--smoke"])
-        assert args.smoke is True
-        assert args.results_dir is None
 
 
 class TestCommands:
@@ -201,15 +221,6 @@ class TestCommands:
         assert code == 0
         assert "streaming report" in capsys.readouterr().out
 
-    def test_bench_perf_smoke(self, tmp_path, capsys):
-        code = main(["bench-perf", "--smoke", "--results-dir", str(tmp_path)])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert (tmp_path / "perf_suite.json").exists()
-        # A custom results dir keeps everything inside it.
-        assert (tmp_path / "BENCH_perf.json").exists()
-        assert "lazy gain-eval ratio" in out
-
     def test_simulate_sharded(self, capsys):
         code = main(
             ["simulate", "--seed", "7", "--horizon", "30", "--task-slots", "10",
@@ -220,12 +231,12 @@ class TestCommands:
         assert "sharded streaming report" in out
         assert "shards=3" in out
 
-    def test_bench_shard_smoke(self, tmp_path, capsys):
-        code = main(["bench-shard", "--smoke", "--results-dir", str(tmp_path)])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert (tmp_path / "shard_suite.json").exists()
-        assert (tmp_path / "BENCH_shard.json").exists()
+    def test_bench_perf_smoke(self, bench_smoke):
+        out, _ = bench_smoke("perf")
+        assert "lazy gain-eval ratio" in out
+
+    def test_bench_shard_smoke(self, bench_smoke):
+        out, _ = bench_smoke("shard")
         assert "plans identical=True" in out
 
 
@@ -283,14 +294,9 @@ class TestRunCommand:
         assert code == 2
         assert "shard_count" in err
 
-    def test_matrix_smoke(self, tmp_path, capsys):
-        code = main(["matrix", "--smoke", "--results-dir", str(tmp_path)])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert (tmp_path / "matrix_suite.json").exists()
-        assert (tmp_path / "BENCH_matrix.json").exists()
+    def test_matrix_smoke(self, bench_smoke):
+        out, payload = bench_smoke("matrix")
         assert "byte-identical to the legacy path" in out
-        payload = json.loads((tmp_path / "matrix_suite.json").read_text())
         valid = [c for c in payload["cells"] if c["valid"]]
         assert valid and all(
             c["plan_identical"] and c["counters_identical"] for c in valid
@@ -395,12 +401,8 @@ class TestJournalCLI:
         assert main(self.SIM + ["--journal", str(tmp_path / "nc")]) == 0
         assert self._report_block(capsys.readouterr().out) == clean
 
-    def test_bench_journal_smoke(self, tmp_path, capsys):
-        code = main(["bench-journal", "--smoke", "--results-dir", str(tmp_path)])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert (tmp_path / "journal_suite.json").exists()
-        assert (tmp_path / "BENCH_journal.json").exists()
+    def test_bench_journal_smoke(self, bench_smoke):
+        out, _ = bench_smoke("journal")
         assert "identical" in out
 
 
@@ -483,14 +485,78 @@ class TestElasticCLI:
         assert main(["simulate", "--hotspot-drift", "1.5"]) == 2
         assert "hotspot_drift" in capsys.readouterr().err
 
-    def test_bench_elastic_smoke(self, tmp_path, capsys):
-        code = main(["bench-elastic", "--smoke", "--results-dir", str(tmp_path)])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert (tmp_path / "elastic_suite.json").exists()
-        assert (tmp_path / "BENCH_elastic.json").exists()
-        payload = json.loads((tmp_path / "elastic_suite.json").read_text())
+    def test_bench_elastic_smoke(self, bench_smoke):
+        out, payload = bench_smoke("elastic")
         sweep = payload["sweep"]["2"]
         assert sweep["identical"] == sweep["boundaries"]
         assert payload["off_identity"]["identical"]
         assert "identical" in out
+
+
+class TestBenchCommand:
+    """``bench SUITE`` for the suites no other CLI class drives."""
+
+    def test_bench_par_smoke(self, bench_smoke):
+        out, payload = bench_smoke("par")
+        top = str(payload["shard_counts"][-1])
+        assert all(s["shards"][top]["identical"] for s in payload["scenarios"])
+        assert "identical=True" in out
+
+    def test_bench_obs_smoke(self, bench_smoke):
+        out, payload = bench_smoke("obs")
+        rejected = [c for c in payload["cells"] if not c["valid"]]
+        assert rejected and all(c["error"] == "SpecError" for c in rejected)
+        assert "trace-deterministic" in out
+
+
+class TestTypedErrors:
+    """One boundary in ``main``: a typed library error exits 2 with its
+    one-line message instead of a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve-single", "--slots", "0"],
+            ["solve-single", "--workers", "0"],
+            ["solve-multi", "--tasks", "0"],
+            ["cover", "--slots", "2"],
+            ["cover", "--target", "1.5"],
+        ],
+    )
+    def test_domain_error_exits_2_with_one_line(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
+
+REPO = Path(__file__).resolve().parents[1]
+DOCS = ("README.md", "EXPERIMENTS.md", "DESIGN.md", ".claude/skills/verify/SKILL.md")
+
+
+def _documented_commands():
+    """Every ``python -m repro <words>`` in the docs' code spans and
+    fenced blocks, as (doc, words); shell continuations are joined."""
+    found = []
+    for doc in DOCS:
+        text = (REPO / doc).read_text().replace("\\\n", " ")
+        fenced = re.findall(r"```[^\n]*\n(.*?)```", text, flags=re.S)
+        prose = re.sub(r"```.*?```", "", text, flags=re.S)
+        for chunk in fenced + re.findall(r"`([^`\n]+)`", prose):
+            for match in re.finditer(r"python -m repro((?:[ \t]+[-\w./=]+)*)", chunk):
+                if match.group(1).split():
+                    found.append((doc, match.group(1).split()))
+    return found
+
+
+class TestDocsMatchCli:
+    def test_documented_commands_parse(self, capsys):
+        commands = _documented_commands()
+        assert len(commands) > 20  # the scan itself is not vacuous
+        bad = []
+        for doc, words in commands:
+            try:
+                build_parser().parse_args(words)
+            except SystemExit:
+                bad.append(f"{doc}: python -m repro {' '.join(words)}")
+        assert bad == []

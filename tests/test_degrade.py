@@ -10,7 +10,7 @@ one level per epoch, never flaps on a boundary queue depth, and pinned
 (static-mode) controllers never move.  Harness level: fault injections
 are deterministic trace transforms (flash crowds, region outages) or
 op-count budgets (slowdowns) — never wall clock — and the CLI surface
-(``--approx`` / ``--inject`` / ``bench-degrade``) composes them.
+(``--approx`` / ``--inject`` / ``bench degrade``) composes them.
 """
 
 from __future__ import annotations
@@ -632,13 +632,8 @@ class TestDegradeCLI:
         assert "at or beyond" not in captured.err
         assert "crash injected" in captured.out
 
-    def test_bench_degrade_smoke(self, tmp_path, capsys):
-        code = main(["bench-degrade", "--smoke",
-                     "--results-dir", str(tmp_path)])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert (tmp_path / "degrade_suite.json").exists()
-        assert (tmp_path / "BENCH_degrade.json").exists()
+    def test_bench_degrade_smoke(self, bench_smoke):
+        out, _ = bench_smoke("degrade")
         assert "certificate" in out
 
 

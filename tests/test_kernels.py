@@ -365,9 +365,9 @@ def test_perfsuite_smoke_payload(tmp_path):
 def test_collect_perf_merges_series(tmp_path):
     import json
 
-    from repro.bench.collect import collect_perf
+    from repro.bench.collect import collect_series
 
-    assert collect_perf(tmp_path) is None
+    assert collect_series("perf", tmp_path) is None
     (tmp_path / "perf_suite.json").write_text(json.dumps({"suite": "perfsuite"}))
-    merged = collect_perf(tmp_path)
+    merged = collect_series("perf", tmp_path)
     assert merged is not None and "perf_suite" in merged["series"]

@@ -114,6 +114,21 @@ def test_k_nearest_matches_brute_force(slots, query, k):
 
 
 @given(
+    slots=st.lists(st.integers(1, 60), max_size=25),
+    query=st.integers(1, 60),
+    extra=st.integers(1, 60),
+    k=st.integers(1, 6),
+)
+def test_k_nearest_with_matches_brute_force(slots, query, extra, k):
+    """Merging one unstored slot in gives the k-NN of the union."""
+    stored = set(slots) - {extra}
+    s = SortedSlots(stored)
+    got = s.k_nearest_with(query, k, extra)
+    expected = sorted(stored | {extra}, key=lambda e: (abs(e - query), e))[:k]
+    assert got == expected
+
+
+@given(
     slots=st.lists(st.integers(1, 60), min_size=1, max_size=25),
     query=st.integers(1, 60),
 )

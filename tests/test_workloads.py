@@ -125,6 +125,17 @@ class TestTrajectories:
         for a, b in zip(path, path[1:]):
             assert a.distance_to(b) <= max_step
 
+    @pytest.mark.parametrize("speed_fraction", [0.02, 0.9])
+    def test_batched_draws_match_scalar_draws(self, speed_fraction):
+        # 0.9 reaches a waypoint almost every slot, so the walk outruns
+        # its first batch of draws and has to extend it.
+        batched = TaxiTrajectoryGenerator(BOX, horizon=60, speed_fraction=speed_fraction, seed=8)
+        scalar = TaxiTrajectoryGenerator(BOX, horizon=60, speed_fraction=speed_fraction, seed=8)
+        for _ in range(3):
+            assert batched.trajectory() == scalar._walk(scalar._rng.uniform)
+        # The generator is left exactly where the scalar draws leave it.
+        assert batched._rng.random(4).tolist() == scalar._rng.random(4).tolist()
+
     def test_reliability_range(self):
         gen = TaxiTrajectoryGenerator(BOX, horizon=20, seed=3)
         pool = gen.pool(30, reliability_range=(0.4, 0.9))

@@ -22,16 +22,16 @@ capability pairings are spec fields, not subclasses, and
 the legacy class it replaced.  The *observability subsystem*
 (:mod:`repro.obs`) rides the same layer seam: structured
 deterministic trace records, a metrics registry with exact log2
-percentiles, and phase-attributed profiling — provably free
-(``python -m repro bench obs`` gates telemetry-off byte-identity and
+percentiles, and phase-attributed profiling — provably free (every
+``bench matrix`` cell also gates telemetry-off byte-identity and
 zero op-count overhead).  The *degradation subsystem*
 (:mod:`repro.degrade`) makes overload a first-class mode: certified
 bounded-candidate and quality-floor approximation, an SLO-aware
 exact → top-c → floor → shed ladder with deterministic hysteresis,
 and a fault-injection harness (flash crowds, region outages,
 op-budget slowdowns) — ``python -m repro bench degrade`` gates
-approx-off byte-identity, per-task certificate soundness, and
-degrading-beats-shedding useful work.
+per-task certificate soundness and degrading-beats-shedding useful
+work (approx-off byte-identity is a ``bench matrix`` gate).
 
 Quickstart::
 

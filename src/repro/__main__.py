@@ -26,9 +26,9 @@ Nine subcommands cover the common workflows:
   byte-identity; wall clock vs the modeled makespan reported, never
   gated), ``journal`` (crash/recover at every event boundary),
   ``matrix`` (composed runtimes byte-identical to the legacy
-  classes), ``obs`` (telemetry never touches plans or counters),
-  ``degrade`` (approx-off identity, certificate soundness, overload
-  useful work) and ``elastic`` (migration exactness, skew gain).
+  classes, with and without telemetry), ``degrade`` (certificate
+  soundness, overload useful work) and ``elastic`` (migration
+  exactness, skew gain).
 * ``bench-regress`` — the continuous op-count regression ledger:
   fingerprint pinned smoke cells (op counters, trace record
   tallies, virtual-cost critical path) against the committed

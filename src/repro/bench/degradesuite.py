@@ -1,12 +1,9 @@
-"""Graceful-degradation suite: identity, certificates, useful work.
+"""Graceful-degradation suite: certificates and useful work.
 
-``python -m repro bench degrade`` proves the three contracts of
-:mod:`repro.degrade`:
+``python -m repro bench degrade`` proves two contracts of
+:mod:`repro.degrade` (the third, approx-off identity — degradation is
+free when it is off — is a gate of every ``bench matrix`` cell):
 
-* **approx-off identity** — with ``approx="off"`` the runtime is
-  byte-identical (plan signature, op counters, stream metrics) to the
-  pre-degradation legacy-class path, re-using the matrixsuite's legacy
-  arms.  Degradation must be free when it is off.
 * **certificate soundness** — for every approximate plan the measured
   quality ratio (approximate quality / exact quality on the same
   seed-pinned workload) is at least the certified ratio the solver
@@ -21,8 +18,8 @@ Typed-rejection cells ride along: the unsupported pairings
 (approx x journal / shards / batch / use_index, ``auto`` without
 telemetry) must raise :class:`~repro.errors.SpecError`.
 
-Per the repo's determinism policy every gate is identity, certificate,
-or op-count based; wall-clock is recorded for humans only.  The merged
+Per the repo's determinism policy every gate is certificate or
+op-count based; wall-clock is recorded for humans only.  The merged
 artifact is ``benchmarks/BENCH_degrade.json``.
 """
 
@@ -31,7 +28,6 @@ from __future__ import annotations
 import time
 from pathlib import Path
 
-from repro.bench.report import signature_hash as _signature_hash
 from repro.errors import SpecError
 from repro.runtime import RunSpec, WorkloadSpec, build_runtime
 
@@ -107,42 +103,7 @@ _REJECTION_ROWS = (
 
 
 # ----------------------------------------------------------------------
-# Arm 1: approx-off identity (vs the matrixsuite legacy classes)
-# ----------------------------------------------------------------------
-def _identity_cells(plain_base: RunSpec, stream_base: RunSpec) -> list[dict]:
-    from repro.bench.matrixsuite import _legacy_plain, _legacy_stream
-
-    cells = []
-    for mode, base in (("plain", plain_base), ("stream", stream_base)):
-        spec = base.validate()
-        assert spec.approx == "off"
-        start = time.perf_counter()
-        outcome = build_runtime(spec).run()
-        wall = time.perf_counter() - start
-        legacy = (
-            _legacy_plain(spec) if mode == "plain"
-            else _legacy_stream(spec)
-        )
-        cells.append({
-            "arm": "identity",
-            "mode": mode,
-            "plan_identical": outcome.plan_signature == legacy["plan"],
-            "counters_identical": (
-                _signature_hash(outcome.counters) == _signature_hash(legacy["counters"])
-            ),
-            "metrics_identical": (
-                None if mode == "plain"
-                else outcome.metrics == legacy["metrics"]
-            ),
-            "no_certificates": outcome.certificates is None,
-            "signature": _signature_hash(outcome.plan_signature),
-            "wall_s": wall,
-        })
-    return cells
-
-
-# ----------------------------------------------------------------------
-# Arm 2: certificate soundness (measured ratio >= certified ratio)
+# Arm 1: certificate soundness (measured ratio >= certified ratio)
 # ----------------------------------------------------------------------
 def _certificate_cell(base: RunSpec, label: str, **approx_fields) -> dict:
     exact = build_runtime(base.validate()).run()
@@ -189,7 +150,7 @@ def _certificate_cell(base: RunSpec, label: str, **approx_fields) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Arm 3: overload useful work (degrading beats shedding)
+# Arm 2: overload useful work (degrading beats shedding)
 # ----------------------------------------------------------------------
 def _overload_injections():
     from repro.degrade.chaos import InjectionSpec
@@ -258,7 +219,7 @@ def _overload_cells(base: RunSpec) -> list[dict]:
 
 
 # ----------------------------------------------------------------------
-# Arm 4: typed rejections
+# Arm 3: typed rejections
 # ----------------------------------------------------------------------
 def _rejection_cells() -> list[dict]:
     cells = []
@@ -284,10 +245,9 @@ def run_suite(*, smoke: bool = False) -> dict:
     stream = _SMOKE_STREAM if smoke else _STREAM_BASE
     overload = _SMOKE_OVERLOAD if smoke else _OVERLOAD_BASE
 
-    cells = _identity_cells(plain, stream)
-    cells.append(_certificate_cell(
+    cells = [_certificate_cell(
         plain, "plain/top_c=4", approx="top_c", approx_top_c=4
-    ))
+    )]
     cells.append(_certificate_cell(
         plain, "plain/floor=0.5", approx="floor", approx_floor=0.5
     ))
@@ -313,8 +273,6 @@ def run_suite(*, smoke: bool = False) -> dict:
 def check_payload(payload: dict) -> list[str]:
     """Deterministic gates; returns a list of failure strings.
 
-    * **Identity** — both approx-off cells byte-identical to the
-      legacy path, with no certificates attached.
     * **Certificate soundness** — no certificate cell reports a
       violation, and every approximate cell certified at least one
       task (an empty certificate map would read as vacuous success).
@@ -328,18 +286,7 @@ def check_payload(payload: dict) -> list[str]:
     failures = []
     for cell in payload["cells"]:
         arm = cell["arm"]
-        if arm == "identity":
-            name = f"identity/{cell['mode']}"
-            for gate in ("plan_identical", "counters_identical"):
-                if not cell[gate]:
-                    failures.append(f"{name}: {gate} is False")
-            if cell["metrics_identical"] is False:
-                failures.append(f"{name}: stream metrics diverged")
-            if not cell["no_certificates"]:
-                failures.append(
-                    f"{name}: approx=off attached certificates to the outcome"
-                )
-        elif arm == "certificate":
+        if arm == "certificate":
             name = f"certificate/{cell['label']}"
             if not cell["sound"]:
                 for violation in cell["violations"]:
@@ -378,26 +325,18 @@ def write_report_block(payload: dict, results_dir: Path) -> None:
 
     reporter = Reporter(
         "degrade1",
-        "Graceful degradation: identity, certificates, overload useful work",
+        "Graceful degradation: certificates, overload useful work",
         results_dir=results_dir,
     )
     reporter.note(
-        "approx=off byte-identical to the legacy path; measured quality "
-        "ratio >= certified ratio for every approximate plan; under "
+        "measured quality ratio >= certified ratio for every approximate plan; under "
         "injected overload the auto-degrade ladder completes strictly "
         "more work than shedding at bounded quality loss"
     )
     reporter.header("arm", "cell", "status", "detail")
     for cell in payload["cells"]:
         arm = cell["arm"]
-        if arm == "identity":
-            ok = (cell["plan_identical"] and cell["counters_identical"]
-                  and cell["metrics_identical"] in (None, True)
-                  and cell["no_certificates"])
-            reporter.row(arm, cell["mode"],
-                         "identical" if ok else "DIVERGED",
-                         cell["signature"])
-        elif arm == "certificate":
+        if arm == "certificate":
             detail = (
                 f"n={cell['tasks_certified']} "
                 f"min={cell['min_certificate']:.3f}"

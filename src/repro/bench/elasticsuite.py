@@ -6,7 +6,10 @@ subsystem through seed-pinned streaming scenarios and persists
 the driver merges every ``elastic*.json`` series into
 ``benchmarks/BENCH_elastic.json``.
 
-Three measurements:
+Two measurements (elastic-off identity — the factory's
+``elastic="off"`` path composes exactly the plain
+:class:`~repro.shard.streaming.ShardedStreamingServer` stack — is a gate of every sharded
+stream cell of ``bench matrix``):
 
 * **Migration exactness** (the acceptance invariant): a migration
   scripted at *every* settled epoch boundary — for executor counts
@@ -19,9 +22,6 @@ Three measurements:
   the auto controller must beat the static placement's op-count
   makespan by the gated ratio, while staying plan-identical to it —
   rebalancing may only move work, never change it.
-* **Elastic-off identity**: the factory's ``elastic="off"`` path must
-  be byte-identical to the plain :class:`ShardedStreamingServer`
-  stack — turning the subsystem off costs nothing.
 
 Per the determinism policy, every gate is op-count/equality based;
 wall-clock is recorded for humans only.
@@ -38,8 +38,6 @@ from repro.elastic import (
     ElasticController,
     ElasticStreamingServer,
 )
-from repro.runtime import RunSpec, WorkloadSpec, build_runtime
-from repro.shard.streaming import ShardedStreamingServer
 from repro.workloads.streaming import StreamScenarioConfig, build_stream_events
 
 __all__ = [
@@ -204,46 +202,6 @@ def _skew_arm(num_executors: int) -> dict:
     }
 
 
-def _off_identity() -> dict:
-    """``elastic="off"`` through the factory must compose the plain
-    sharded stack byte-identically to direct construction."""
-    spec = RunSpec(
-        mode="stream",
-        workload=WorkloadSpec(
-            horizon=SWEEP_SCENARIO.horizon,
-            task_rate=SWEEP_SCENARIO.task_rate,
-            task_slots=SWEEP_SCENARIO.task_slots,
-            initial_workers=SWEEP_SCENARIO.initial_workers,
-            join_rate=SWEEP_SCENARIO.worker_join_rate,
-            mean_lifetime=SWEEP_SCENARIO.mean_worker_lifetime,
-            seed=SWEEP_SCENARIO.seed,
-        ),
-        shards=2,
-        elastic="off",
-        **SWEEP_KWARGS,
-    )
-    runtime = build_runtime(spec)
-    trace = runtime.scenario()
-    outcome = runtime.run()
-
-    direct = ShardedStreamingServer(
-        trace.bbox, num_shards=2, **SWEEP_KWARGS
-    )
-    direct_metrics = direct.run(list(trace.events))
-    identical = (
-        outcome.plan_signature == direct.assignment().plan_signature()
-        and outcome.metrics.per_shard == direct_metrics.per_shard
-        and list(outcome.counters) == [c.counters for c in direct.servers]
-        and type(outcome.server) is ShardedStreamingServer
-    )
-    return {
-        "identical": identical,
-        "server_class": type(outcome.server).__name__,
-        "plan_length": len(outcome.plan_signature),
-        "signature": _signature_hash(outcome.plan_signature),
-    }
-
-
 def run_suite(*, smoke: bool = False) -> dict:
     """Run the suite and return the machine-readable payload."""
     counts = EXECUTOR_COUNTS[:1] if smoke else EXECUTOR_COUNTS
@@ -255,7 +213,6 @@ def run_suite(*, smoke: bool = False) -> dict:
         "skew_ratio_gate": SKEW_RATIO_GATE,
         "sweep": {str(count): _sweep_executors(count) for count in counts},
         "skew": {str(count): _skew_arm(count) for count in counts},
-        "off_identity": _off_identity(),
     }
 
 
@@ -268,8 +225,6 @@ def check_payload(payload: dict) -> list[str]:
     * **Skew gain** — the auto controller's makespan ratio must meet
       :data:`SKEW_RATIO_GATE` while staying plan-identical to the
       static arm.
-    * **Off identity** — ``elastic="off"`` must be byte-identical to
-      the direct sharded stack.
 
     Wall-clock is deliberately unchecked (determinism policy).
     """
@@ -304,10 +259,6 @@ def check_payload(payload: dict) -> list[str]:
                 f"skew executors={count}: the auto controller never "
                 "migrated under hotspot drift"
             )
-    if not payload["off_identity"]["identical"]:
-        failures.append(
-            "elastic='off' diverged from the direct sharded stack"
-        )
     return failures
 
 
@@ -344,7 +295,7 @@ def write_report_block(payload: dict, results_dir: Path) -> None:
 
 
 def summary(payload: dict) -> list[str]:
-    """Sweep and skew lines per executor count, then off-identity."""
+    """Sweep and skew lines per executor count."""
     lines = []
     for count, row in payload["sweep"].items():
         lines.append(
@@ -359,5 +310,4 @@ def summary(payload: dict) -> list[str]:
             f"{row['migrations']} migrations, "
             f"plan_identical={row['plan_identical']}"
         )
-    lines.append(f"off identity: {payload['off_identity']['identical']}")
     return lines

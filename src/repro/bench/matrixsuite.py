@@ -1,4 +1,4 @@
-"""Runtime equivalence matrix: composed vs legacy, byte-identical.
+"""Runtime identity matrix: every composition equals the seed stack.
 
 ``python -m repro bench matrix`` sweeps the capability grid
 
@@ -6,30 +6,45 @@
                     x backend {python, numpy}
 
 and, for every *composable* cell, runs the same seed-pinned workload
-twice: once through the spec-driven factory
-(:func:`repro.runtime.build_runtime`) and once through the
-pre-refactor legacy-class path (``SequentialServingSolver`` /
-``ShardedTCSCServer`` / ``StreamingTCSCServer`` /
-``ShardedStreamingServer``; a journal-on cell's legacy run is the
-unjournaled class, which the zero-overhead gate below makes sound).
-The two runs must agree **byte-for-byte** on ``plan_signature()``,
-``StreamMetrics``, and ``OpCounters`` — the refactor's acceptance
-invariant.  Cells the spec layer rejects (journal without stream
-mode) are recorded as typed rejections and the sweep asserts the
-rejection actually fires.
+four ways: through the pre-refactor legacy classes built by hand
+(``SequentialServingSolver`` / ``ShardedTCSCServer`` /
+``StreamingTCSCServer`` / ``ShardedStreamingServer``; a journal-on
+cell's legacy run is the unjournaled class, which the journal on ==
+off gate below makes sound), through the spec-driven factory
+(:func:`repro.runtime.build_runtime`) bare, and twice through the
+factory with telemetry on (separate trace files and journal
+directories).  Every arm runs on every cell.  The per-cell gates:
 
-Two bonus gates ride along:
+* **composed == legacy** — ``plan_signature()``, ``OpCounters``,
+  ``StreamMetrics`` and per-task qualities byte-identical; the
+  composed server is exactly the legacy class (so ``elastic="off"``
+  composes the plain ``ShardedStreamingServer``), and the outcome
+  carries no certificates (``approx="off"`` is free).
+* **telemetry-off identity** — the telemetered run's plan, counters
+  and metrics equal the bare run's: spans snapshot/diff counters,
+  they never increment them.
+* **trace determinism** — the two telemetered traces are
+  byte-identical after :func:`~repro.obs.trace.mask_timing`, their
+  record tallies match, and the on-disk JSONL round-trips back to the
+  in-memory records exactly.
+* **trace completeness** — every record type the cell's composition
+  implies is present, and every record carries a ``causal`` span id.
+* **causal analytics** — the span graph's critical path (total
+  virtual cost and step list) is bit-identical across the two
+  telemetered runs.
 
-* **zero-overhead journaling** — within one (mode, shards, backend)
-  group, the journal-on cell must equal the journal-off cell exactly
-  (the PR-4 invariant, now re-proven through the layer seam);
-* **backend identity** — every cell's plan must match the
-  ``backend="python"`` cell of its (mode, shards, journal) group (the
-  PR-2 invariant, re-proven through the factory).
+Two cross-cell gates ride along: **journal on == off** (plan, op
+counters and stream metrics within one (mode, shards, backend)
+group) and **backend identity** (every cell's plan matches the
+``backend="python"`` cell of its group).  Cells the spec layer
+rejects (journal without stream mode) are recorded as typed
+rejections, and the sweep asserts the rejection actually fires.
 
-Per the repo's determinism policy every gate is equality/op-count
-based; wall-clock is recorded for humans only.  The merged artifact
-is ``benchmarks/BENCH_matrix.json``.
+One predicate, :func:`_cell_failures`, decides every cell: the gate
+check, the report's status column and the summary count all read it.
+Per the repo's determinism policy every gate is equality based;
+wall-clock is recorded for humans only.  The merged artifact is
+``benchmarks/BENCH_matrix.json``.
 """
 
 from __future__ import annotations
@@ -40,12 +55,17 @@ from pathlib import Path
 
 from repro.bench.report import signature_hash as _signature_hash
 from repro.errors import SpecError
+from repro.obs.causal import SpanGraph
+from repro.obs.trace import masked_trace_bytes, read_trace
 from repro.runtime import RunSpec, WorkloadSpec, build_runtime
 
 __all__ = [
     "MATRIX_MODES",
     "SHARD_COUNTS",
     "BACKENDS",
+    "CELL_GATES",
+    "FULL_BASES",
+    "SMOKE_BASES",
     "run_suite",
     "summary",
     "write_report_block",
@@ -62,7 +82,7 @@ SMOKE_SHARD_COUNTS = (1, 2)
 SMOKE_BACKENDS = ("python",)
 
 #: Base specs per mode; the sweep rewrites mode/shards/journal/backend.
-_FULL_BASES = {
+FULL_BASES = {
     "plain": RunSpec(
         mode="plain",
         workload=WorkloadSpec(tasks=12, slots=16, workers=240, seed=13),
@@ -78,17 +98,38 @@ _FULL_BASES = {
     ),
 }
 
-_SMOKE_BASES = {
-    "plain": _FULL_BASES["plain"].replace(
+SMOKE_BASES = {
+    "plain": FULL_BASES["plain"].replace(
         workload=WorkloadSpec(tasks=6, slots=12, workers=150, seed=13)
     ),
-    "stream": _FULL_BASES["stream"].replace(
+    "stream": FULL_BASES["stream"].replace(
         workload=WorkloadSpec(
             horizon=10, task_rate=0.3, task_slots=8, initial_workers=12,
             join_rate=0.8, mean_lifetime=12.0, seed=9,
         )
     ),
 }
+
+#: Per-cell gates: boolean payload fields where ``False`` fails the
+#: cell (``None`` means not applicable — plain cells have no stream
+#: metrics).
+CELL_GATES = (
+    # Composed == legacy.
+    "plan_identical",
+    "counters_identical",
+    "metrics_identical",
+    "qualities_identical",
+    "server_class_identical",
+    "no_certificates",
+    # Telemetry watches, never touches.
+    "telemetry_identical",
+    "masked_trace_identical",
+    "record_counts_identical",
+    "trace_roundtrip_ok",
+    "record_types_complete",
+    "causal_complete",
+    "critical_path_identical",
+)
 
 
 # ----------------------------------------------------------------------
@@ -126,6 +167,7 @@ def _legacy_plain(spec: RunSpec):
         "counters": report.counters,
         "metrics": None,
         "qualities": dict(report.qualities),
+        "server": solver,
     }
 
 
@@ -133,7 +175,7 @@ def _legacy_stream(spec: RunSpec):
     """The streaming and sharded-streaming classes, built by hand.
 
     A journal-on spec gets the plain (unjournaled) legacy class: the
-    zero-overhead gate already requires journal-on == journal-off
+    journal on == off gate already requires journal-on == journal-off
     within one (mode, shards, backend) group, so the unjournaled run
     is the reference for both.
     """
@@ -178,97 +220,137 @@ def _legacy_stream(spec: RunSpec):
         "counters": counters,
         "metrics": metrics,
         "qualities": dict(metrics.promised_quality),
+        "server": server,
     }
 
 
-def _cell_spec(base: RunSpec, mode, shards, journaled, backend, workdir: Path):
-    """The composed-arm spec of one grid cell (may be invalid)."""
-    journal = (
-        str(workdir / f"composed-{mode}-s{shards}-{backend}")
-        if journaled
-        else None
-    )
-    return base.replace(
-        mode=mode, shards=shards, backend=backend, journal=journal
-    )
+_LEGACY = {"plain": _legacy_plain, "stream": _legacy_stream}
 
 
-def _run_cell(base: RunSpec, mode, shards, journaled, backend, workdir) -> dict:
+def _composed(spec: RunSpec):
+    return build_runtime(spec).run()
+
+
+def _timed(run, spec: RunSpec):
+    """``run(spec)`` and its wall seconds."""
+    start = time.perf_counter()
+    result = run(spec)
+    return result, time.perf_counter() - start
+
+
+def _counter_list(counters):
+    """Per-shard counter tuples compare as lists (JSON-shaped)."""
+    return list(counters) if isinstance(counters, tuple) else counters
+
+
+def _expected_types(mode: str, journaled: bool) -> list[str]:
+    expected = ["open", "solve", "phases", "trace-summary"]
+    if mode == "stream":
+        expected += ["event", "epoch", "finalize", "run-complete"]
+        if journaled:
+            expected.append("snapshot")
+    return sorted(expected)
+
+
+def _run_cell(base: RunSpec, mode, shards, journaled, backend, workdir: Path) -> dict:
     cell = {
         "mode": mode,
         "shards": shards,
         "journal": journaled,
         "backend": backend,
     }
+    tag = f"{mode}-s{shards}-{backend}-{'j' if journaled else 'p'}"
     try:
-        spec = _cell_spec(base, mode, shards, journaled, backend, workdir)
-        spec.validate()
+        spec = base.replace(
+            mode=mode, shards=shards, backend=backend,
+            journal=str(workdir / f"{tag}-bare") if journaled else None,
+        ).validate()
     except SpecError as exc:
         # The typed rejection is itself part of the acceptance matrix:
         # the spec layer must refuse what the runtime cannot compose.
         cell.update(valid=False, error=type(exc).__name__, reason=str(exc))
         return cell
-    start = time.perf_counter()
-    outcome = build_runtime(spec).run()
-    wall_composed = time.perf_counter() - start
 
-    start = time.perf_counter()
-    if mode == "plain":
-        legacy = _legacy_plain(spec)
-    else:
-        legacy = _legacy_stream(spec)
-    wall_legacy = time.perf_counter() - start
+    legacy, wall_legacy = _timed(_LEGACY[mode], spec)
+    bare, wall_composed = _timed(_composed, spec)
+    (on, wall_telemetry), (on2, _) = [
+        _timed(_composed, spec.replace(
+            telemetry=True,
+            trace_out=str(workdir / f"{tag}-{arm}.jsonl"),
+            journal=str(workdir / f"{tag}-{arm}") if journaled else None,
+        ))
+        for arm in ("on", "on2")
+    ]
 
-    composed_counters = (
-        list(outcome.counters)
-        if isinstance(outcome.counters, tuple)
-        else outcome.counters
-    )
-    legacy_counters = (
-        list(legacy["counters"])
-        if isinstance(legacy["counters"], tuple)
-        else legacy["counters"]
-    )
+    traces = [run.telemetry.recorder.records for run in (on, on2)]
+    masked = [masked_trace_bytes(records) for records in traces]
+    present = sorted(on.telemetry.recorder.counts())
+    missing = sorted(set(_expected_types(mode, journaled)) - set(present))
+    critical = [SpanGraph(records).critical_path() for records in traces]
+    counters = _counter_list(bare.counters)
     cell.update(
         valid=True,
-        plan_identical=outcome.plan_signature == legacy["plan"],
-        counters_identical=composed_counters == legacy_counters,
+        # Composed == legacy.
+        plan_identical=bare.plan_signature == legacy["plan"],
+        counters_identical=counters == _counter_list(legacy["counters"]),
         metrics_identical=(
-            None if mode == "plain" else outcome.metrics == legacy["metrics"]
+            None if mode == "plain" else bare.metrics == legacy["metrics"]
         ),
-        qualities_identical=outcome.qualities == legacy["qualities"],
-        plan_length=len(outcome.plan_signature),
-        signature=_signature_hash(outcome.plan_signature),
+        qualities_identical=bare.qualities == legacy["qualities"],
+        server_class=type(bare.server).__name__,
+        server_class_identical=type(bare.server) is type(legacy["server"]),
+        no_certificates=bare.certificates is None,
+        # Telemetry-off identity (the zero-overhead contract).
+        telemetry_identical=(
+            (on.plan_signature, repr(on.counters), on.metrics)
+            == (bare.plan_signature, repr(bare.counters), bare.metrics)
+        ),
+        # Trace determinism, completeness and causal analytics.
+        masked_trace_identical=masked[0] == masked[1],
+        record_counts_identical=(
+            on.telemetry.recorder.counts() == on2.telemetry.recorder.counts()
+        ),
+        trace_roundtrip_ok=all(
+            read_trace(run.spec.trace_out) == records
+            for run, records in zip((on, on2), traces)
+        ),
+        record_types=present,
+        record_types_complete=not missing,
+        missing_record_types=missing,
+        causal_complete=all("causal" in record for record in traces[0]),
+        critical_path_identical=(
+            (critical[0].total, critical[0].steps)
+            == (critical[1].total, critical[1].steps)
+        ),
+        critical_path_total=critical[0].total,
+        records=len(traces[0]),
+        masked_trace_digest=_signature_hash(masked[0]),
+        plan_length=len(bare.plan_signature),
+        signature=_signature_hash(bare.plan_signature),
         # Fingerprints for the cross-cell gates (journal on == off):
         # the full observable state, not just the plan.
-        counters_digest=_signature_hash(composed_counters),
-        metrics_digest=None if mode == "plain" else _signature_hash(outcome.metrics),
-        wall_composed_s=wall_composed,
+        counters_digest=_signature_hash(counters),
+        metrics_digest=None if mode == "plain" else _signature_hash(bare.metrics),
         wall_legacy_s=wall_legacy,
+        wall_composed_s=wall_composed,
+        wall_telemetry_s=wall_telemetry,
     )
     return cell
 
 
 def run_suite(*, smoke: bool = False) -> dict:
     """Run the grid and return the machine-readable payload."""
-    bases = _SMOKE_BASES if smoke else _FULL_BASES
+    bases = SMOKE_BASES if smoke else FULL_BASES
     shard_counts = SMOKE_SHARD_COUNTS if smoke else SHARD_COUNTS
     backends = SMOKE_BACKENDS if smoke else BACKENDS
-    cells: list[dict] = []
     with tempfile.TemporaryDirectory(prefix="matrixsuite-") as tmp:
-        workdir = Path(tmp)
-        for mode in MATRIX_MODES:
-            for shards in shard_counts:
-                for backend in backends:
-                    for journaled in (False, True):
-                        cells.append(
-                            _run_cell(
-                                bases[mode], mode, shards, journaled,
-                                backend,
-                                workdir / f"{mode}-s{shards}-{backend}-"
-                                          f"{'j' if journaled else 'p'}",
-                            )
-                        )
+        cells = [
+            _run_cell(bases[mode], mode, shards, journaled, backend, Path(tmp))
+            for mode in MATRIX_MODES
+            for shards in shard_counts
+            for backend in backends
+            for journaled in (False, True)
+        ]
     return {
         "suite": "matrixsuite",
         "mode": "smoke" if smoke else "full",
@@ -282,81 +364,68 @@ def run_suite(*, smoke: bool = False) -> dict:
     }
 
 
-def _group_key(cell: dict) -> tuple:
-    return (cell["mode"], cell["shards"], cell["backend"])
+# ----------------------------------------------------------------------
+# The one gate predicate
+# ----------------------------------------------------------------------
+def _key(cell: dict, **changes) -> tuple:
+    cell = {**cell, **changes}
+    return (cell["mode"], cell["shards"], cell["journal"], cell["backend"])
+
+
+def _cell_failures(cell: dict, by_key: dict) -> list[str]:
+    """Every gate ``cell`` fails; empty means the cell is clean.
+
+    ``by_key`` indexes the payload's cells by :func:`_key`, for the
+    cross-cell gates.
+    """
+    name = (f"{cell['mode']}/shards={cell['shards']}/"
+            f"journal={'on' if cell['journal'] else 'off'}/{cell['backend']}")
+    must_reject = cell["mode"] == "plain" and cell["journal"]
+    if not cell["valid"]:
+        if not must_reject:
+            return [f"{name}: unexpected rejection ({cell.get('reason')})"]
+        if cell["error"] != "SpecError":
+            return [f"{name}: rejected with {cell['error']}, expected the "
+                    "typed SpecError"]
+        return []
+    if must_reject:
+        return [f"{name}: journal x plain must be rejected by validation, "
+                "but the cell ran"]
+    failures = [f"{name}: {gate} is False" for gate in CELL_GATES
+                if cell[gate] is False]
+    if cell["journal"]:
+        off = by_key.get(_key(cell, journal=False))
+        if off and off["valid"]:
+            failures += [
+                f"{name}: journaled {field} diverged from the unjournaled run"
+                for field in ("signature", "counters_digest", "metrics_digest")
+                if cell[field] != off[field]
+            ]
+    if cell["backend"] != "python":
+        ref = by_key.get(_key(cell, backend="python"))
+        if ref and ref["valid"] and cell["signature"] != ref["signature"]:
+            failures.append(
+                f"{name}: {cell['backend']} plan diverged from the python plan"
+            )
+    return failures
+
+
+def _judged(payload: dict) -> list[tuple[dict, list[str]]]:
+    """Each cell with its failures."""
+    by_key = {_key(cell): cell for cell in payload["cells"]}
+    return [(cell, _cell_failures(cell, by_key)) for cell in payload["cells"]]
 
 
 def check_payload(payload: dict) -> list[str]:
     """Deterministic gates; returns a list of failure strings.
 
-    * **Composed == legacy** — every valid cell byte-identical in
-      plan signature, op counters, stream metrics, and qualities.
-    * **Typed rejection** — every invalid cell is a journal-without-
-      stream pairing rejected with ``SpecError``; nothing else may be
-      skipped (silent truncation would read as full coverage).
-    * **Zero-overhead journaling** — journal-on equals journal-off
-      within each (mode, shards, backend) group.
-    * **Backend identity** — every cell's plan matches its group's
-      ``python`` cell.
-
-    Wall-clock is deliberately unchecked (determinism policy).
+    Every valid cell must pass :data:`CELL_GATES`, journal on == off
+    and backend identity; every invalid cell must be a journal x plain
+    pairing rejected with ``SpecError`` (nothing else may be skipped —
+    silent truncation would read as full coverage).  Wall-clock is
+    deliberately unchecked (determinism policy).
     """
-    failures = []
-    by_cell = {}
-    for cell in payload["cells"]:
-        name = (f"{cell['mode']}/shards={cell['shards']}/"
-                f"journal={'on' if cell['journal'] else 'off'}/"
-                f"{cell['backend']}")
-        by_cell[(cell["mode"], cell["shards"], cell["journal"],
-                 cell["backend"])] = cell
-        if not cell["valid"]:
-            if cell["mode"] == "stream" or not cell["journal"]:
-                failures.append(
-                    f"{name}: unexpected rejection ({cell.get('reason')})"
-                )
-            elif cell["error"] != "SpecError":
-                failures.append(
-                    f"{name}: rejected with {cell['error']}, expected the "
-                    "typed SpecError"
-                )
-            continue
-        if cell["mode"] == "plain" and cell["journal"]:
-            failures.append(
-                f"{name}: journal x plain must be rejected by validation, "
-                "but the cell ran"
-            )
-        for gate in ("plan_identical", "counters_identical",
-                     "qualities_identical"):
-            if not cell[gate]:
-                failures.append(f"{name}: composed vs legacy {gate} is False")
-        if cell["metrics_identical"] is False:
-            failures.append(f"{name}: composed vs legacy metrics diverged")
-    # Zero-overhead journaling: journal-on == journal-off per group —
-    # plan, op counters, and stream metrics (the full PR-4 invariant,
-    # not just the plan hash).
-    for (mode, shards, journaled, backend), cell in by_cell.items():
-        if not journaled or not cell["valid"]:
-            continue
-        off = by_cell.get((mode, shards, False, backend))
-        if not off or not off["valid"]:
-            continue
-        for field in ("signature", "counters_digest", "metrics_digest"):
-            if cell[field] != off[field]:
-                failures.append(
-                    f"{mode}/shards={shards}/{backend}: journaled {field} "
-                    "diverged from the unjournaled run"
-                )
-    # Backend identity: every backend's plan matches the python cell.
-    for (mode, shards, journaled, backend), cell in by_cell.items():
-        if backend == "python" or not cell["valid"]:
-            continue
-        ref = by_cell.get((mode, shards, journaled, "python"))
-        if ref and ref["valid"] and cell["signature"] != ref["signature"]:
-            failures.append(
-                f"{mode}/shards={shards}/journal={journaled}: "
-                f"{backend} plan diverged from the python plan"
-            )
-    return failures
+    return [failure for _, failures in _judged(payload) for failure in failures]
 
 
 def write_report_block(payload: dict, results_dir: Path) -> None:
@@ -365,50 +434,48 @@ def write_report_block(payload: dict, results_dir: Path) -> None:
 
     reporter = Reporter(
         "matrix1",
-        "Runtime matrix: composed (spec-driven) vs legacy-class serving",
+        "Runtime matrix: composed (spec-driven) vs legacy-class serving, "
+        "with and without telemetry",
         results_dir=results_dir,
     )
     reporter.note(
         "every composable cell byte-identical to its legacy counterpart "
-        "(plan, metrics, op counters); journal x plain rejected by typed "
-        "SpecError; wall-clock recorded, never gated"
+        "(plan, metrics, op counters, qualities, server class) and to its "
+        "telemetered runs; masked traces identical across repeat runs; "
+        "journal x plain rejected by typed SpecError; wall-clock "
+        "recorded, never gated"
     )
     reporter.header(
-        "mode", "shards", "journal", "backend", "status", "plan", "signature"
+        "mode", "shards", "journal", "backend", "status", "plan", "records",
+        "trace_digest", "signature",
     )
-    for cell in payload["cells"]:
-        if not cell["valid"]:
-            reporter.row(
-                cell["mode"], cell["shards"],
-                "on" if cell["journal"] else "off", cell["backend"],
-                f"rejected:{cell['error']}", "-", "-",
-            )
-            continue
-        identical = (
-            cell["plan_identical"]
-            and cell["counters_identical"]
-            and cell["metrics_identical"] in (None, True)
-        )
+    for cell, failures in _judged(payload):
+        if failures:
+            status = "DIVERGED"
+        elif not cell["valid"]:
+            status = f"rejected:{cell['error']}"
+        else:
+            status = "identical"
         reporter.row(
             cell["mode"], cell["shards"],
-            "on" if cell["journal"] else "off", cell["backend"],
-            "identical" if identical else "DIVERGED",
-            cell["plan_length"], cell["signature"],
+            "on" if cell["journal"] else "off", cell["backend"], status,
+            *(
+                (cell["plan_length"], cell["records"],
+                 cell["masked_trace_digest"], cell["signature"])
+                if cell["valid"] else ("-",) * 4
+            ),
         )
     reporter.close()
 
 
 def summary(payload: dict) -> list[str]:
-    """Identical composable cells and typed rejections, in one line."""
-    valid = [c for c in payload["cells"] if c["valid"]]
-    rejected = [c for c in payload["cells"] if not c["valid"]]
-    identical = sum(
-        1 for c in valid
-        if c["plan_identical"] and c["counters_identical"]
-        and c["metrics_identical"] in (None, True)
-    )
+    """Clean composable cells and typed rejections, in one line."""
+    judged = _judged(payload)
+    valid = [failures for cell, failures in judged if cell["valid"]]
+    rejected = [failures for cell, failures in judged if not cell["valid"]]
     return [
-        f"matrix: {identical}/{len(valid)} composable cells byte-identical "
-        f"to the legacy path, {len(rejected)} uncomposable cells rejected "
-        "with typed SpecError"
+        f"matrix: {valid.count([])}/{len(valid)} composable cells "
+        "byte-identical to the legacy path, telemetry-off identical and "
+        f"trace-deterministic, {rejected.count([])}/{len(rejected)} "
+        "uncomposable cells rejected with typed SpecError"
     ]

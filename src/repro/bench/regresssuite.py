@@ -35,6 +35,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+from repro.bench.matrixsuite import SMOKE_BASES
 from repro.bench.report import DEFAULT_RESULTS, publish
 from repro.degrade.chaos import InjectionSpec
 from repro.obs.query import diff_traces
@@ -45,7 +46,7 @@ from repro.obs.regress import (
     load_baseline,
     write_baseline,
 )
-from repro.runtime import RunSpec, WorkloadSpec, build_runtime
+from repro.runtime import build_runtime
 from repro.runtime.factory import StreamRuntime
 
 __all__ = [
@@ -58,24 +59,12 @@ __all__ = [
 ]
 
 
-#: Workloads mirror the obs suite's smoke cells, so the ledger pins
-#: the same runs CI already exercises — small enough for every PR,
-#: rich enough to cover plain/sharded/journaled/degraded/elastic arms.
-_PLAIN = RunSpec(
-    mode="plain",
-    telemetry=True,
-    workload=WorkloadSpec(tasks=6, slots=12, workers=150, seed=13),
-)
-_STREAM = RunSpec(
-    mode="stream",
-    telemetry=True,
-    workload=WorkloadSpec(
-        horizon=10, task_rate=0.3, task_slots=8, initial_workers=12,
-        join_rate=0.8, mean_lifetime=12.0, seed=9,
-    ),
-    k=2, epoch_length=3.0, budget_fraction=0.6,
-    max_active_tasks=4, max_queue_depth=8, snapshot_every=2,
-)
+#: The matrix suite's smoke workloads with telemetry on, so the ledger
+#: pins the same runs CI already exercises — small enough for every
+#: PR, rich enough to cover plain/sharded/journaled/degraded/elastic
+#: arms.
+_PLAIN = SMOKE_BASES["plain"].replace(telemetry=True)
+_STREAM = SMOKE_BASES["stream"].replace(telemetry=True)
 
 #: The ledger cells: name -> spec template.  ``journal=True`` entries
 #: get a fresh journal directory per run (filesystem paths are

@@ -36,7 +36,7 @@ DEFAULT_RESULTS = Path(__file__).resolve().parents[3] / "benchmarks" / "results"
 #: The suites behind ``python -m repro bench SUITE``.  Each module
 #: ``repro.bench.<suite>suite`` provides ``run_suite(*, smoke)``,
 #: ``check_payload``, ``write_report_block`` and ``summary``.
-SUITES = ("perf", "shard", "par", "journal", "matrix", "obs", "degrade", "elastic")
+SUITES = ("perf", "shard", "par", "journal", "matrix", "degrade", "elastic")
 
 
 class Reporter:

@@ -26,12 +26,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import ConfigurationError
 from repro.runtime.layers import ServingLayer
 from repro.stream.events import TaskArrival, WorkerJoin, WorkerLeave
+from repro.util.jsonfields import check_json_fields
 from repro.util.rng import derive_rng
 from repro.workloads.streaming import StreamScenario
 
@@ -91,13 +92,7 @@ class InjectionSpec:
             raise ConfigurationError(
                 f"an injection must be a JSON object, got {type(data).__name__}"
             )
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ConfigurationError(
-                f"injection does not accept field(s) {unknown}; "
-                f"known fields: {sorted(known)}"
-            )
+        check_json_fields(cls, data, ConfigurationError, label="injection")
         if "kind" not in data:
             raise ConfigurationError("injection needs a 'kind' field")
         return cls(**data)

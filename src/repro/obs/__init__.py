@@ -27,9 +27,9 @@ the streaming seam.  ``RunSpec(telemetry=True, trace_out=...)`` is the
 spec-level switch; ``python -m repro trace-report`` renders a trace.
 
 Zero-overhead contract: attaching telemetry must not change the plan,
-the stream metrics, or a single op count — ``python -m repro
-bench obs`` gates it across the {plain, stream} x shards x journal
-grid.
+the stream metrics, or a single op count — every cell of
+``python -m repro bench matrix`` gates it across the {plain, stream}
+x shards x journal x backend grid.
 
 On top of the record stream sits the trace analytics engine:
 

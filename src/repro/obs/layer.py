@@ -77,8 +77,8 @@ class TelemetryLayer(ServingLayer):
     metrics.
 
     Observation only: the layer never touches solver state, sessions,
-    or op counters — the obs suite hard-asserts a telemetered run is
-    byte-identical to a bare one.
+    or op counters — every ``bench matrix`` cell hard-asserts a
+    telemetered run is byte-identical to a bare one.
     """
 
     def __init__(self, *, recorder=None, registry=None, profiler=None,

@@ -258,7 +258,7 @@ class MetricsRegistry:
     def to_dict(self, *, include_timing: bool = True) -> dict:
         """Sorted-name snapshot of every metric; with
         ``include_timing=False`` this is a deterministic function of
-        the run (the obs suite's identity digest)."""
+        the run (usable as an identity digest)."""
         return {
             name: metric.to_dict()
             for name, metric in sorted(self._metrics.items())

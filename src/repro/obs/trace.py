@@ -122,7 +122,7 @@ def masked_trace_bytes(records) -> bytes:
     """Re-framed trace bytes with every ``timing`` key stripped.
 
     ``records`` is a record list or a trace file path.  Two runs of
-    the same spec must produce *equal* masked bytes — the obs suite's
+    the same spec must produce *equal* masked bytes — the matrix suite's
     trace-determinism gate compares exactly this.
     """
     if isinstance(records, (str, Path)):

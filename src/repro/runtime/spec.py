@@ -19,11 +19,12 @@ validated spec into a composed serving stack.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from repro.errors import SpecError
 from repro.par.executor import EXECUTOR_KINDS
+from repro.util.jsonfields import check_json_fields
 
 __all__ = [
     "SERVING_MODES",
@@ -44,16 +45,6 @@ _BACKENDS = ("python", "numpy")
 _INDEX_MODES = ("incremental", "rebuild")
 _CRASH_PHASES = ("apply", "append")
 _DISTRIBUTIONS = ("uniform", "gaussian", "zipfian")
-
-
-def _check_dict_keys(cls, data: dict) -> None:
-    known = {f.name for f in fields(cls)}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise SpecError(
-            f"{cls.__name__} does not accept field(s) {unknown}; "
-            f"known fields: {sorted(known)}"
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,7 +135,7 @@ class WorkloadSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "WorkloadSpec":
-        _check_dict_keys(cls, data)
+        check_json_fields(cls, data, SpecError, label="WorkloadSpec")
         return cls(**data)
 
 
@@ -551,12 +542,13 @@ class RunSpec:
     def from_dict(cls, data: dict) -> "RunSpec":
         """Build and validate a spec from :meth:`to_dict` output.
 
-        Unknown fields raise :class:`~repro.errors.SpecError` — a
-        typo'd spec file must not silently run with defaults.
+        Unknown fields and wrong-typed values raise
+        :class:`~repro.errors.SpecError` — a typo'd spec file must not
+        silently run with defaults, nor crash mid-run.
         """
         if not isinstance(data, dict):
             raise SpecError(f"a RunSpec must be a JSON object, got {type(data).__name__}")
-        _check_dict_keys(cls, data)
+        check_json_fields(cls, data, SpecError, label="RunSpec")
         data = dict(data)
         workload = data.pop("workload", None)
         if workload is not None:

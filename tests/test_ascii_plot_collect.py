@@ -149,12 +149,6 @@ class TestCollect:
         assert set(merged["series"]) == {"journal_suite"}
         assert merged["generated_by"] == "python -m repro bench journal"
 
-    def test_collect_obs_merges_json_series(self, tmp_path):
-        (tmp_path / "obs_suite.json").write_text('{"suite": "obssuite"}\n')
-        merged = collect_series("obs", tmp_path)
-        assert set(merged["series"]) == {"obs_suite"}
-        assert merged["generated_by"] == "python -m repro bench obs"
-
     def test_collect_degrade_merges_json_series(self, tmp_path):
         (tmp_path / "degrade_suite.json").write_text(
             '{"suite": "degradesuite"}\n'
@@ -166,8 +160,7 @@ class TestCollect:
     def test_every_registered_artifact_has_a_collector(self):
         assert set(COLLECTORS) == {
             "BENCH_stream.json", "BENCH_perf.json", "BENCH_shard.json",
-            "BENCH_journal.json", "BENCH_matrix.json", "BENCH_obs.json",
-            "BENCH_degrade.json", "BENCH_elastic.json",
+            "BENCH_journal.json", "BENCH_matrix.json", "BENCH_degrade.json", "BENCH_elastic.json",
             "BENCH_regress.json", "BENCH_par.json",
         }
         assert list(COLLECTORS.values()) == ["stream", *SUITES, "regress"]

@@ -10,6 +10,12 @@ import pytest
 
 from repro.bench.baselines import random_multi_assignment
 from repro.bench.collect import collect_series
+from repro.bench.matrixsuite import (
+    CELL_GATES,
+    check_payload,
+    summary,
+    write_report_block,
+)
 from repro.bench.report import SUITES, Reporter, publish
 from repro.core.quality import task_quality
 from repro.workloads.scenario import ScenarioConfig, build_scenario
@@ -194,3 +200,42 @@ class TestSuiteDriver:
             "FAIL: first broken gate",
             "FAIL: second broken gate",
         ]
+
+
+def _clean_matrix_payload():
+    """A one-cell matrix payload that passes every gate."""
+    cell = {
+        "mode": "stream", "shards": 2, "journal": False, "backend": "python",
+        "valid": True, "plan_length": 3, "records": 9,
+        "masked_trace_digest": "t", "signature": "s",
+        "counters_digest": "c", "metrics_digest": "m",
+    }
+    cell.update(dict.fromkeys(CELL_GATES, True))
+    return {"cells": [cell]}
+
+
+class TestMatrixGatePredicate:
+    """The matrix report, summary and gate check read one predicate."""
+
+    def _render(self, payload, tmp_path, capsys):
+        write_report_block(payload, tmp_path)
+        capsys.readouterr()
+        return (tmp_path / "matrix1.txt").read_text(), summary(payload)[0]
+
+    def test_clean_payload_reads_identical(self, tmp_path, capsys):
+        payload = _clean_matrix_payload()
+        block, line = self._render(payload, tmp_path, capsys)
+        assert check_payload(payload) == []
+        assert "| identical |" in block and "DIVERGED" not in block
+        assert "1/1 composable cells" in line
+
+    @pytest.mark.parametrize("gate", CELL_GATES)
+    def test_one_failed_gate_reads_diverged(self, gate, tmp_path, capsys):
+        payload = _clean_matrix_payload()
+        payload["cells"][0][gate] = False
+        block, line = self._render(payload, tmp_path, capsys)
+        assert check_payload(payload) == [
+            f"stream/shards=2/journal=off/python: {gate} is False"
+        ]
+        assert "| DIVERGED |" in block and "identical |" not in block
+        assert "0/1 composable cells" in line

@@ -294,6 +294,14 @@ class TestRunCommand:
         assert code == 2
         assert "shard_count" in err
 
+    def test_wrong_typed_spec_field_is_a_typed_cli_error(self, tmp_path, capsys):
+        path = tmp_path / "typed.json"
+        path.write_text('{"k": 1.5}')
+        code = main(["run", "--spec", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.strip().splitlines() == ["invalid spec: RunSpec.k must be int, got 1.5"]
+
     def test_matrix_smoke(self, bench_smoke):
         out, payload = bench_smoke("matrix")
         assert "byte-identical to the legacy path" in out
@@ -303,6 +311,13 @@ class TestRunCommand:
         )
         rejected = [c for c in payload["cells"] if not c["valid"]]
         assert rejected and all(c["error"] == "SpecError" for c in rejected)
+        # approx="off" is free: exact runs carry no certificates.
+        assert all(c["no_certificates"] for c in valid)
+        # elastic="off" composes exactly the plain sharded stack.
+        sharded = [c for c in valid if c["mode"] == "stream" and c["shards"] > 1]
+        assert sharded and all(
+            c["server_class"] == "ShardedStreamingServer" for c in sharded
+        )
 
 
 class TestJournalCLI:
@@ -489,24 +504,29 @@ class TestElasticCLI:
         out, payload = bench_smoke("elastic")
         sweep = payload["sweep"]["2"]
         assert sweep["identical"] == sweep["boundaries"]
-        assert payload["off_identity"]["identical"]
         assert "identical" in out
 
 
 class TestBenchCommand:
-    """``bench SUITE`` for the suites no other CLI class drives."""
+    """``bench SUITE`` for the suites no other CLI class drives, and the
+    observability gates that ``bench matrix`` runs on every cell."""
+
+    def test_bench_obs_smoke(self, bench_smoke):
+        out, payload = bench_smoke("matrix")
+        rejected = [c for c in payload["cells"] if not c["valid"]]
+        assert rejected and all(c["error"] == "SpecError" for c in rejected)
+        valid = [c for c in payload["cells"] if c["valid"]]
+        assert valid and all(
+            c["telemetry_identical"] and c["masked_trace_identical"]
+            for c in valid
+        )
+        assert "trace-deterministic" in out
 
     def test_bench_par_smoke(self, bench_smoke):
         out, payload = bench_smoke("par")
         top = str(payload["shard_counts"][-1])
         assert all(s["shards"][top]["identical"] for s in payload["scenarios"])
         assert "identical=True" in out
-
-    def test_bench_obs_smoke(self, bench_smoke):
-        out, payload = bench_smoke("obs")
-        rejected = [c for c in payload["cells"] if not c["valid"]]
-        assert rejected and all(c["error"] == "SpecError" for c in rejected)
-        assert "trace-deterministic" in out
 
 
 class TestTypedErrors:

@@ -271,6 +271,23 @@ class TestRejection:
             RunSpec.from_dict(["not", "a", "spec"])
         with pytest.raises(SpecError):
             RunSpec.from_dict({"workload": 7})
+        # Wrong-typed fields fail at the JSON boundary, typed.
+        for payload, field_name in (
+            ({"shards": "two"}, "shards"),
+            ({"workload": {"tasks": "3"}}, "tasks"),
+            ({"mode": "stream", "shards": 2, "executor": "process",
+              "max_workers": "2"}, "max_workers"),
+            ({"k": 1.5}, "k"),
+            ({"telemetry": "yes"}, "telemetry"),
+            ({"shards": True}, "shards"),
+            ({"budget_fraction": False}, "budget_fraction"),
+            ({"workload": {"task_rate": "fast"}}, "task_rate"),
+        ):
+            with pytest.raises(SpecError, match=field_name):
+                RunSpec.from_dict(payload)
+        # JSON ints are valid floats.
+        spec = RunSpec.from_dict({"budget_fraction": 1, "halo": 2})
+        assert spec.budget_fraction == 1 and spec.halo == 2
 
     def test_from_json_missing_and_malformed(self, tmp_path):
         with pytest.raises(SpecError):

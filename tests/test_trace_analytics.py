@@ -319,7 +319,7 @@ class TestCli:
 
 class TestMaskedDeterminismProperties:
     """Satellite: the masked-trace determinism hypothesis property,
-    extended from the obs suite's plain/stream grid to elastic
+    extended from the matrix suite's plain/stream grid to elastic
     migrations and the degradation ladder."""
 
     @settings(max_examples=5, deadline=None)

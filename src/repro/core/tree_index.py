@@ -32,25 +32,41 @@ A slot ``u`` can only be affected when ``|u - s| <= d_k(u)``, i.e.
 when ``s`` lies inside ``u``'s *influence interval*
 ``I_u = [u - d_k(u), u + d_k(u)]`` (the tree analogue of the paper's
 per-node influence ranges).  Every unexecuted slot therefore *paints*
-``nbr_ub(u)`` over ``I_u`` in a lazy range-add/range-max tree; the
-painted value at position ``s`` is exactly
+``nbr_ub(u)`` over ``I_u``; the painted value at position ``s`` is
 ``sum_{u : s in I_u} nbr_ub(u)``, an upper bound on the whole
 neighbour term of ``dq(s)``.  A node's bound is then::
 
     ub_gain(node) = max_self_gain(node) + max painted value over [l, r]
     ub_heur(node) = ub_gain(node) / max(min_cost(node), eps)
+
+The paint is kept flat, next to the tree rather than in a second one:
+``_pv[s]`` holds the painted value of slot ``s`` and ``_agg_paint``
+the per-node maximum of ``_pv`` over the node's segment, pulled up
+with the other aggregates.  A repaint records each ``(lo, hi, +-v)``
+segment as two writes into a scratch difference array; one prefix-sum
+pass over the touched span (:meth:`TreeIndex._flush_paint`, at the end
+of every :meth:`~TreeIndex.refresh_range` and of the full build)
+applies the whole batch to ``_pv``, and the aggregate update is widened
+to that span.  Search only ever reads the paint maximum over the tree's
+own nodes, so nothing finer is needed.
+
+Pruning keeps a node whose bound lies within a relative ``1e-12`` of
+the incumbent: a bound can round an ulp below a slot's exact
+``gain / cost``, and pruning on a plain ``<`` would then drop an
+equal-heuristic slot with a smaller index that the tie-break prefers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import add
 
 from repro.core.evaluator import TemporalQualityEvaluator
 from repro.core.instrumentation import OpCounters
 from repro.core.quality import entropy_term
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, JournalCorruptionError
 from repro.util.heaps import LazyMaxHeap
-from repro.util.range_tree import RangeAddMaxTree
 
 __all__ = ["BestCandidate", "TreeIndex", "COST_EPSILON"]
 
@@ -60,6 +76,10 @@ COST_EPSILON = 1e-9
 
 _NEG_INF = float("-inf")
 _INF = float("inf")
+
+#: A node is pruned only when its bound falls below the incumbent's
+#: heuristic by more than this relative slack (see module docstring).
+_PRUNE_FACTOR = 1.0 - 1e-12
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,14 +131,20 @@ class TreeIndex:
             self._rel[slot] = costs.reliability(slot) if cost is not None else 0.0
 
         # Influence painting: nbr_ub(u) over I_u (see module docstring).
-        self._paint = RangeAddMaxTree(m)
+        # _diff is all zeros and [_dlo, _dhi] empty between calls.
+        self._pv = [0.0] * (m + 1)
+        self._diff = [0.0] * (m + 2)
+        self._dlo = m + 1
+        self._dhi = 0
         # Segment-tree aggregates over leaf buckets of <= ts slots.
         self._agg_self = [_NEG_INF] * (4 * (m + 1))
         self._agg_cost = [_INF] * (4 * (m + 1))
         self._agg_cand = [0] * (4 * (m + 1))
+        self._agg_paint = [_NEG_INF] * (4 * (m + 1))
         self.node_count = 0
         for slot in range(1, m + 1):
             self._refresh_slot(slot)
+        self._flush_paint()
         self._build(1, 1, m)
         self.counters.index_full_builds += 1
 
@@ -182,18 +208,44 @@ class TreeIndex:
 
         if old != segments:
             self._unpaint(slot)
-            for lo, hi, value in segments:
-                self._paint.add(lo, hi, value)
-            self._painted[slot] = segments if segments else None
+            if segments:
+                self._queue_paint(segments, 1.0)
+                self._painted[slot] = segments
             self.counters.tree_node_updates += 1
 
     def _unpaint(self, slot: int) -> None:
         old = self._painted[slot]
         if old is not None:
-            for lo, hi, value in old:
-                self._paint.add(lo, hi, -value)
+            self._queue_paint(old, -1.0)
             self._painted[slot] = None
             self.counters.tree_node_updates += 1
+
+    def _queue_paint(self, segments: list[tuple[int, int, float]], sign: float) -> None:
+        """Record ``sign * value`` over each segment in the difference
+        array and widen the pending span to cover it."""
+        diff = self._diff
+        for lo, hi, value in segments:
+            diff[lo] += sign * value
+            diff[hi + 1] -= sign * value
+            if lo < self._dlo:
+                self._dlo = lo
+            if hi > self._dhi:
+                self._dhi = hi
+
+    def _flush_paint(self) -> tuple[int, int]:
+        """Apply the pending difference array to ``_pv``.
+
+        Returns the span it touched (empty, ``lo > hi``, when nothing
+        was pending) and leaves the scratch array zeroed.
+        """
+        lo, hi = self._dlo, self._dhi
+        if lo <= hi:
+            diff = self._diff
+            pv = self._pv
+            pv[lo : hi + 1] = map(add, pv[lo : hi + 1], accumulate(diff[lo : hi + 1]))
+            diff[lo : hi + 2] = [0.0] * (hi - lo + 2)
+            self._dlo, self._dhi = self.m + 1, 0
+        return lo, hi
 
     # ------------------------------------------------------------------
     # Segment tree (leaf buckets of <= ts slots)
@@ -216,6 +268,7 @@ class TreeIndex:
         self._agg_self[node] = best_self
         self._agg_cost[node] = cost
         self._agg_cand[node] = cand
+        self._agg_paint[node] = max(self._pv[l : r + 1])
 
     def _pull_inner(self, node: int) -> None:
         self.counters.tree_node_updates += 1
@@ -223,6 +276,7 @@ class TreeIndex:
         self._agg_self[node] = max(self._agg_self[left], self._agg_self[right])
         self._agg_cost[node] = min(self._agg_cost[left], self._agg_cost[right])
         self._agg_cand[node] = self._agg_cand[left] + self._agg_cand[right]
+        self._agg_paint[node] = max(self._agg_paint[left], self._agg_paint[right])
 
     def _build(self, node: int, l: int, r: int) -> None:
         self.node_count += 1
@@ -240,6 +294,8 @@ class TreeIndex:
         Call after :meth:`TemporalQualityEvaluator.execute` with the
         affected window; costs of slots in the range are also re-read
         (they change in multi-task scenarios when workers are consumed).
+        The aggregates are updated over the window widened to the span
+        its repaints touched.
         """
         lo = max(1, lo)
         hi = min(self.m, hi)
@@ -248,7 +304,8 @@ class TreeIndex:
             self._cost[slot] = _INF if cost is None else float(cost)
             self._rel[slot] = self.costs.reliability(slot) if cost is not None else 0.0
             self._refresh_slot(slot)
-        self._update(1, 1, self.m, lo, hi)
+        paint_lo, paint_hi = self._flush_paint()
+        self._update(1, 1, self.m, min(lo, paint_lo), max(hi, paint_hi))
 
     def refresh_slots(self, slots) -> int:
         """Incrementally refresh an arbitrary set of slots.
@@ -293,11 +350,13 @@ class TreeIndex:
         """Verbatim index state for an exact snapshot.
 
         A fresh build over the same evaluator/cost state reproduces
-        every aggregate *mathematically*, but the paint tree's float
-        accumulators carry round-off history (paint/unpaint pairs need
-        not cancel bit-for-bit), and recovered runs must evolve their
-        op counters byte-identically to uninterrupted ones — so the
-        journal copies the arrays instead of rebuilding.
+        every aggregate *mathematically*, but the flat paint ``_pv`` and
+        its node maxima ``_agg_paint`` carry round-off history
+        (paint/unpaint pairs need not cancel bit-for-bit), and recovered
+        runs must evolve their op counters byte-identically to
+        uninterrupted ones — so the journal copies the arrays instead of
+        rebuilding.  The scratch difference array is empty between
+        calls and is not captured.
         """
         return {
             "ts": self.ts,
@@ -309,10 +368,11 @@ class TreeIndex:
                 None if segs is None else [list(seg) for seg in segs]
                 for segs in self._painted
             ],
-            "paint": self._paint.to_state(),
+            "pv": list(self._pv),
             "agg_self": list(self._agg_self),
             "agg_cost": list(self._agg_cost),
             "agg_cand": list(self._agg_cand),
+            "agg_paint": list(self._agg_paint),
             "node_count": self.node_count,
         }
 
@@ -330,29 +390,40 @@ class TreeIndex:
         Bypasses ``__init__`` entirely: nothing is recomputed and no
         counter is incremented (restoring state is not solver work).
         ``evaluator`` and ``costs`` must themselves be restored to the
-        capture point.
+        capture point.  A state of another shape (including the retired
+        one with a ``paint`` tree) or with a wrong-typed or wrong-sized
+        field raises :class:`~repro.errors.JournalCorruptionError`.
         """
+        if not isinstance(state, dict):
+            raise _corrupt(f"expected an object, got {type(state).__name__}")
+        if set(state) != _STATE_KEYS:
+            raise _corrupt(
+                f"missing {sorted(_STATE_KEYS - set(state))}, "
+                f"unknown {sorted(set(state) - _STATE_KEYS)}"
+            )
+        m = _checked_int(state, "m")
+        if m != evaluator.m:
+            raise _corrupt(f"m={m} does not match the evaluator's m={evaluator.m}")
+        slots, nodes = m + 1, 4 * (m + 1)
         index = cls.__new__(cls)
         index.ev = evaluator
         index.costs = costs
-        index.ts = state["ts"]
-        index.m = state["m"]
+        index.ts = _checked_int(state, "ts")
+        index.m = m
         index.counters = counters if counters is not None else evaluator.counters
-        index._cost = [float(v) for v in state["cost"]]
-        index._rel = [float(v) for v in state["rel"]]
-        index._self_gain = [float(v) for v in state["self_gain"]]
-        # Segment tuples were listified for JSON; the refresh path
-        # compares them against freshly built tuples, so restore the
-        # exact tuple shape.
-        index._painted = [
-            None if segs is None else [(int(lo), int(hi), float(v)) for lo, hi, v in segs]
-            for segs in state["painted"]
-        ]
-        index._paint = RangeAddMaxTree.from_state(state["paint"])
-        index._agg_self = [float(v) for v in state["agg_self"]]
-        index._agg_cost = [float(v) for v in state["agg_cost"]]
-        index._agg_cand = [int(v) for v in state["agg_cand"]]
-        index.node_count = state["node_count"]
+        index._cost = _checked_list(state, "cost", slots, _NUMBER_TYPES)
+        index._rel = _checked_list(state, "rel", slots, _NUMBER_TYPES)
+        index._self_gain = _checked_list(state, "self_gain", slots, _NUMBER_TYPES)
+        index._painted = _checked_painted(state, slots)
+        index._pv = _checked_list(state, "pv", slots, _NUMBER_TYPES)
+        index._diff = [0.0] * (m + 2)
+        index._dlo = m + 1
+        index._dhi = 0
+        index._agg_self = _checked_list(state, "agg_self", nodes, _NUMBER_TYPES)
+        index._agg_cost = _checked_list(state, "agg_cost", nodes, _NUMBER_TYPES)
+        index._agg_cand = _checked_list(state, "agg_cand", nodes, {int})
+        index._agg_paint = _checked_list(state, "agg_paint", nodes, _NUMBER_TYPES)
+        index.node_count = _checked_int(state, "node_count")
         return index
 
     # ------------------------------------------------------------------
@@ -363,14 +434,14 @@ class TreeIndex:
         """Unexecuted, assignable slots currently indexed."""
         return self._agg_cand[1]
 
-    def _node_upper_bound(self, node: int, l: int, r: int) -> float:
+    def _node_upper_bound(self, node: int) -> float:
         self_gain = self._agg_self[node]
         if self_gain == _NEG_INF:
             return _NEG_INF
         min_cost = self._agg_cost[node]
         if min_cost == _INF:
             return _NEG_INF
-        gain_ub = self_gain + self._paint.max_in(l, r)
+        gain_ub = self_gain + self._agg_paint[node]
         return gain_ub / max(min_cost, COST_EPSILON)
 
     def _same_voronoi_cell(self, l: int, r: int) -> bool:
@@ -393,7 +464,7 @@ class TreeIndex:
         if total_candidates == 0:
             return None
         heap = LazyMaxHeap()
-        root_ub = self._node_upper_bound(1, 1, self.m)
+        root_ub = self._node_upper_bound(1)
         if root_ub == _NEG_INF:
             return None
         heap.push(root_ub, (1, 1, self.m))
@@ -406,10 +477,10 @@ class TreeIndex:
                 break
             ub, (node, l, r), _ = popped
             self.counters.tree_node_visits += 1
-            # Strict comparison: a node whose bound *ties* the incumbent
-            # may still hide an equal-heuristic slot with a smaller
-            # index, which the deterministic tie-break must prefer.
-            if best is not None and ub < best.heuristic:
+            # A node whose bound ties the incumbent may still hide an
+            # equal-heuristic slot with a smaller index, which the
+            # deterministic tie-break must prefer.
+            if best is not None and ub < best.heuristic * _PRUNE_FACTOR:
                 break
             if self._is_leaf(l, r) or self._same_voronoi_cell(l, r):
                 for slot in range(l, r + 1):
@@ -432,12 +503,71 @@ class TreeIndex:
                 continue
             mid = (l + r) // 2
             for child, cl, cr in ((2 * node, l, mid), (2 * node + 1, mid + 1, r)):
-                child_ub = self._node_upper_bound(child, cl, cr)
+                child_ub = self._node_upper_bound(child)
                 if child_ub == _NEG_INF:
                     continue
-                if best is not None and child_ub < best.heuristic:
+                if best is not None and child_ub < best.heuristic * _PRUNE_FACTOR:
                     self.counters.tree_node_visits += 1
                     continue
                 heap.push(child_ub, (child, cl, cr))
         self.counters.candidates_pruned += max(total_candidates - evaluated, 0)
         return best
+
+
+# ----------------------------------------------------------------------
+# Snapshot field checks
+# ----------------------------------------------------------------------
+_STATE_KEYS = frozenset(
+    "ts m cost rel self_gain painted pv agg_self agg_cost agg_cand agg_paint node_count".split()
+)
+#: JSON-decoded types a float field admits (a JSON bool never does).
+_NUMBER_TYPES = {int, float}
+
+
+def _corrupt(message: str) -> JournalCorruptionError:
+    return JournalCorruptionError(f"tree index state {message}")
+
+
+def _checked_int(state: dict, key: str) -> int:
+    value = state[key]
+    if type(value) is not int:
+        raise _corrupt(f"field {key!r} must be an int, got {value!r}")
+    return value
+
+
+def _checked_list(state: dict, key: str, length: int, types: set) -> list:
+    """A list of ``length`` values of ``types``, as floats unless ints."""
+    values = state[key]
+    if type(values) is not list or len(values) != length:
+        raise _corrupt(f"field {key!r} must be a list of {length} values")
+    if not set(map(type, values)) <= types:
+        raise _corrupt(f"field {key!r} holds a value of the wrong type")
+    return list(values) if types == {int} else [float(v) for v in values]
+
+
+def _checked_painted(state: dict, length: int) -> list:
+    # Segment tuples were listified for JSON; the refresh path compares
+    # them against freshly built tuples, so restore the exact tuple shape.
+    raw = state["painted"]
+    if type(raw) is not list or len(raw) != length:
+        raise _corrupt(f"field 'painted' must be a list of {length} entries")
+    painted: list[list[tuple[int, int, float]] | None] = []
+    for segs in raw:
+        if segs is None:
+            painted.append(None)
+            continue
+        if type(segs) is not list:
+            raise _corrupt("field 'painted' holds a non-list entry")
+        restored = []
+        for seg in segs:
+            if (
+                type(seg) is not list
+                or len(seg) != 3
+                or type(seg[0]) is not int
+                or type(seg[1]) is not int
+                or type(seg[2]) not in _NUMBER_TYPES
+            ):
+                raise _corrupt(f"field 'painted' holds a malformed segment {seg!r}")
+            restored.append((seg[0], seg[1], float(seg[2])))
+        painted.append(restored)
+    return painted

@@ -17,8 +17,8 @@ each component by the cheapest *bit-exact* route:
   bit-identical — against a scratch counter so restoration is not
   accounted as solver work.
 * **Tree indexes** are copied verbatim (:meth:`TreeIndex.to_state`):
-  their paint-tree accumulators carry round-off *history* that a
-  rebuild cannot reproduce.
+  their flat paint sums carry round-off *history* that a rebuild
+  cannot reproduce.
 * **Cost caches** are copied entry-for-entry: a cache hit vs miss is
   an observable op-count difference.
 * **Registries** are rebuilt from the worker roster in original

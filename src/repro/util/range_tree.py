@@ -1,10 +1,15 @@
 """Segment tree with lazy range-add and range-max queries.
 
-Backing structure for the tree index's neighbour-gain bounds: every
-slot *paints* its potential-gain bound over its influence interval,
-and the best-first search asks for the maximum painted value over a
-node's segment.  Classic lazy propagation; all operations are
-``O(log n)``.
+Classic lazy propagation; all operations are ``O(log n)``.
+
+This once backed the tree index's neighbour-gain bounds.  The index no
+longer uses it: its search only reads the painted maximum over its own
+segment-tree nodes, and its refreshes already walk exactly those nodes,
+so it keeps the paint as a flat per-slot array updated by one
+difference-array pass per refresh (see :mod:`repro.core.tree_index`).
+The module stays as a tested general-purpose structure, and because the
+wall-clock benchmark's tracer still counts calls to
+:meth:`RangeAddMaxTree.add` and :meth:`RangeAddMaxTree.max_in` by name.
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@
 Random interleavings of operations against simple reference models:
 
 * the incremental evaluator + tree index pair, checked against
-  from-scratch quality recomputation and brute-force argmax;
+  from-scratch quality recomputation, brute-force argmax, and the
+  painted segments the index's flat paint must sum to;
 * the grid index under add/remove churn, checked against a dict.
 """
 
@@ -46,6 +47,24 @@ class EvaluatorIndexMachine(RuleBasedStateMachine):
         self.ev = TemporalQualityEvaluator(_M, 2)
         self.index = TreeIndex(self.ev, self.costs, ts=3)
         self.executed: dict[int, float] = {}
+        # Largest value ever painted: the scale of the round-off that
+        # paint/unpaint pairs may leave behind in the flat sums.
+        self.paint_scale = 0.0
+        self._note_paint_scale()
+
+    def _note_paint_scale(self):
+        for segs in self.index._painted:
+            for _, _, value in segs or ():
+                self.paint_scale = max(self.paint_scale, value)
+
+    @initialize(offsets=st.sets(st.integers(1, 5)))
+    def execute_periodic(self, offsets):
+        """Start from slots executed with the cost cycle's period: slots
+        a period apart then share cost and neighbourhood, so exact
+        heuristic ties (and bounds an ulp off them) are common."""
+        for offset in sorted(offsets):
+            for slot in range(offset, _M + 1, 5):
+                self.execute_slot(slot)
 
     @rule(slot=st.integers(1, _M))
     def execute_slot(self, slot):
@@ -54,6 +73,7 @@ class EvaluatorIndexMachine(RuleBasedStateMachine):
         window = self.ev.affected_window(slot)
         self.ev.execute(slot)
         self.index.refresh_range(*window)
+        self._note_paint_scale()
         self.executed[slot] = 1.0
 
     @rule(slot=st.integers(1, _M), new_cost=st.floats(0.1, 9.0))
@@ -62,6 +82,7 @@ class EvaluatorIndexMachine(RuleBasedStateMachine):
             return
         self.costs.table[slot] = new_cost
         self.index.refresh_range(slot, slot)
+        self._note_paint_scale()
 
     @rule(remaining=st.floats(0.5, 20.0))
     def find_best_matches_brute_force(self, remaining):
@@ -89,6 +110,26 @@ class EvaluatorIndexMachine(RuleBasedStateMachine):
     @invariant()
     def quality_matches_reference(self):
         assert self.ev.quality == pytest.approx(task_quality(_M, 2, self.executed))
+
+    @invariant()
+    def flat_paint_matches_segments(self):
+        index = self.index
+        expected = [0.0] * (_M + 1)
+        for segs in index._painted:
+            for lo, hi, value in segs or ():
+                for slot in range(lo, hi + 1):
+                    expected[slot] += value
+        for slot in range(1, _M + 1):
+            assert index._pv[slot] == pytest.approx(
+                expected[slot], rel=1e-12, abs=1e-12 * self.paint_scale
+            )
+        stack = [(1, 1, _M)]
+        while stack:
+            node, l, r = stack.pop()
+            assert index._agg_paint[node] == max(index._pv[l : r + 1])
+            if not index._is_leaf(l, r):
+                mid = (l + r) // 2
+                stack += [(2 * node, l, mid), (2 * node + 1, mid + 1, r)]
 
 
 class GridIndexMachine(RuleBasedStateMachine):
@@ -129,7 +170,7 @@ class GridIndexMachine(RuleBasedStateMachine):
 
 TestEvaluatorIndexMachine = EvaluatorIndexMachine.TestCase
 TestEvaluatorIndexMachine.settings = settings(
-    max_examples=25, stateful_step_count=30, deadline=None
+    max_examples=200, stateful_step_count=30, deadline=None
 )
 TestGridIndexMachine = GridIndexMachine.TestCase
 TestGridIndexMachine.settings = settings(

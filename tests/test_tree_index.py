@@ -8,12 +8,16 @@ budgets.
 
 from __future__ import annotations
 
+import copy
+import json
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.evaluator import TemporalQualityEvaluator
 from repro.core.tree_index import COST_EPSILON, TreeIndex
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, JournalCorruptionError
 
 
 class FakeCosts:
@@ -191,3 +195,111 @@ class TestIncrementalConsistency:
         cost_map[3] = 0.01  # slot 3 becomes extremely cheap
         index.refresh_range(3, 3)
         assert index.find_best(1e9).slot == 3
+
+
+def _tie_costs(m):
+    """The stateful test's cost table: a five-step cost cycle."""
+    return FakeCosts({slot: 1.0 + (slot % 5) * 0.7 for slot in range(1, m + 1)})
+
+
+def _execute(ev, index, slot):
+    window = ev.affected_window(slot)
+    ev.execute(slot)
+    index.refresh_range(*window)
+
+
+class TestTies:
+    """An upper bound may round an ulp below a slot's exact heuristic;
+    that must never prune an equal-heuristic slot with a smaller index."""
+
+    def test_exact_tie_prefers_smaller_slot(self):
+        ev = TemporalQualityEvaluator(24, 2)
+        costs = _tie_costs(24)
+        index = TreeIndex(ev, costs, ts=3)
+        for slot in (1, 3, 8, 9, 11, 12, 17, 19, 21, 23):
+            _execute(ev, index, slot)
+        expected = brute_force_best(ev, costs, 1e9)
+        # Slots 5 and 15 tie exactly; the tie-break prefers 5.
+        assert expected[0] == 5
+        assert ev.gain_if_executed(15) / costs.cost(15) == expected[3]
+        got = index.find_best(1e9)
+        assert (got.slot, got.heuristic) == (5, expected[3])
+
+    def test_seeded_sweep_matches_brute_force(self):
+        """20,000 execution sets: every prefix of random execution
+        orders, each checked against enumeration."""
+        rng = random.Random(0)
+        sets = mismatches = 0
+        while sets < 20_000:
+            ev = TemporalQualityEvaluator(24, 2)
+            costs = _tie_costs(24)
+            index = TreeIndex(ev, costs, ts=3)
+            for slot in rng.sample(range(1, 25), 23):
+                _execute(ev, index, slot)
+                got = index.find_best(1e9)
+                expected = brute_force_best(ev, costs, 1e9)
+                sets += 1
+                if (None if got is None else got.slot) != (
+                    None if expected is None else expected[0]
+                ):
+                    mismatches += 1
+        assert mismatches == 0
+
+
+class TestSnapshotState:
+    def _index(self):
+        ev = TemporalQualityEvaluator(20, 2)
+        costs = FakeCosts({s: 1.0 + s % 3 for s in range(1, 21)})
+        index = TreeIndex(ev, costs, ts=3)
+        for slot in (4, 11, 17):
+            _execute(ev, index, slot)
+        return ev, costs, index
+
+    def test_round_trip_is_exact(self):
+        ev, costs, index = self._index()
+        state = json.loads(json.dumps(index.to_state()))
+        restored = TreeIndex.from_state(ev, costs, state)
+        assert restored.to_state() == index.to_state()
+        _execute(ev, index, 8)
+        restored.refresh_range(*ev.affected_window(8))
+        assert restored.to_state() == index.to_state()
+        assert restored.find_best(1e9) == index.find_best(1e9)
+
+    def test_old_paint_tree_shape_is_rejected(self):
+        ev, costs, index = self._index()
+        state = index.to_state()
+        del state["pv"], state["agg_paint"]
+        state["paint"] = {"n": 20, "max": [0.0] * 80, "lazy": [0.0] * 80}
+        with pytest.raises(JournalCorruptionError, match="paint"):
+            TreeIndex.from_state(ev, costs, state)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda st: st.pop("agg_cand"),
+            lambda st: st.update(extra=1),
+            lambda st: st.update(m="20"),
+            lambda st: st.update(m=21),
+            lambda st: st.update(ts=None),
+            lambda st: st["pv"].pop(),
+            lambda st: st["pv"].__setitem__(3, "0.5"),
+            lambda st: st["agg_cand"].__setitem__(1, 2.0),
+            lambda st: st["agg_self"].__setitem__(1, True),
+            lambda st: st.update(cost={"1": 1.0}),
+            lambda st: st["painted"].__setitem__(5, 7),
+            lambda st: st["painted"].__setitem__(5, [[1, 2]]),
+            lambda st: st["painted"].__setitem__(5, [[1.0, 2, 0.1]]),
+        ],
+    )
+    def test_malformed_state_raises_typed_error(self, mutate):
+        ev, costs, index = self._index()
+        state = copy.deepcopy(index.to_state())
+        mutate(state)
+        with pytest.raises(JournalCorruptionError):
+            TreeIndex.from_state(ev, costs, state)
+
+    def test_non_object_state_raises_typed_error(self):
+        ev, costs, _ = self._index()
+        with pytest.raises(JournalCorruptionError):
+            TreeIndex.from_state(ev, costs, [1, 2, 3])
+

@@ -28,6 +28,13 @@ strictly closer to ``u`` than ``s`` are those in the open interval
 ``ceil((e_k + s) / 2)`` (or 1 when fewer than ``k`` executed slots lie
 below ``s``), and symmetrically the right edge is
 ``floor((f_k + s) / 2)`` with ``f_k`` the ``k``-th executed slot above.
+
+The NumPy backend keeps per-slot arrays that :meth:`execute` repairs
+over that window: the weighted k-NN total, its phi value, and the k-th
+neighbour's *merge keys* — its lexicographic key
+``dfar * (m + 2) + efar`` (relative to the slot; -1 once executed) and
+its eviction weight.  A gain then reads contiguous ``[lo, hi]`` slices
+of them instead of gathering the window's unexecuted slots.
 """
 
 from __future__ import annotations
@@ -111,12 +118,14 @@ class TemporalQualityEvaluator:
             self._p = np.zeros(m + 1, dtype=np.float64)
             self._phi = np.zeros(m + 1, dtype=np.float64)
             self._totals = np.zeros(m + 1, dtype=np.float64)
-            self._dfar = np.full(m + 1, self._kernel.NO_KTH, dtype=np.int64)
-            self._efar = np.zeros(m + 1, dtype=np.int64)
-            self._lamfar = np.zeros(m + 1, dtype=np.float64)
+            # Per-slot merge keys (see _gain_over_range_numpy): the
+            # k-th neighbour's lexicographic key minus the slot's own
+            # index (-1 for executed slots), and the weight its
+            # eviction removes.
+            self._farkey = self._kernel.NO_KEY - np.arange(m + 1, dtype=np.int64)
+            self._evict = np.zeros(m + 1, dtype=np.float64)
             self._exec_mask = np.zeros(m + 1, dtype=bool)
-            self._exec_arr = np.empty(0, dtype=np.int64)
-            self._exec_lam = np.empty(0, dtype=np.float64)
+            self._rel_of = np.zeros(m + 1, dtype=np.float64)
             self._all_unit = True
 
     # ------------------------------------------------------------------
@@ -176,6 +185,13 @@ class TemporalQualityEvaluator:
         slot's k-NN set.
         """
         self._check_slot(slot)
+        if self._kernel is not None and not self._exec_mask[slot]:
+            # An unexecuted slot keeps its k-th neighbour's merge key.
+            key = int(self._farkey[slot]) + slot
+            if key == self._kernel.NO_KEY:
+                return None
+            distance, e = divmod(key, self.m + 2)
+            return distance, self._reliability[e]
         neighbors = self._executed.k_nearest(slot, self.k, exclude=slot)
         if len(neighbors) < self.k:
             return None
@@ -275,48 +291,54 @@ class TemporalQualityEvaluator:
     # ------------------------------------------------------------------
     # NumPy backend (vectorized window passes via repro.core.kernels)
     # ------------------------------------------------------------------
-    def _window_unexecuted(self, lo: int, hi: int, exclude: int):
-        """Unexecuted slot indices in ``[lo, hi]`` minus ``exclude``."""
-        u = np.arange(lo, hi + 1, dtype=np.int64)
-        mask = ~self._exec_mask[lo : hi + 1]
-        if lo <= exclude <= hi:
-            mask[exclude - lo] = False
-        return u[mask]
-
     def _gain_over_range_numpy(
         self, slot: int, reliability: float, lo: int, hi: int
     ) -> float:
+        """The scalar merge rule over the window ``[lo, hi]`` as slices.
+
+        The candidate enters slot ``u``'s k-NN set iff its key
+        ``|u - slot| * (m + 2) + slot`` is below ``u``'s far key
+        ``dfar * (m + 2) + efar`` (lexicographic ``(distance, slot)``
+        order), adding ``reliability * (m - |u - slot|)`` and evicting
+        the k-th neighbour's weight.  Both keys are kept relative to
+        ``u``, so the comparison reads one slice of the kernel's
+        ``cand_key`` table against one slice of ``_farkey``.  Executed
+        slots hold -1 there and never enter; they and the candidate
+        are compressed out right before the sequential sum, which
+        leaves every term, and its order, as in the scalar path.
+        """
         kernel = self._kernel
-        self.counters.gain_evaluations += 1
+        counters = self.counters
+        counters.gain_evaluations += 1
         # The candidate's own flip, counted exactly like the scalar path.
         delta = kernel.phi_executed(reliability) - float(self._phi[slot])
-        self.counters.slot_evaluations += 1
-        us = self._window_unexecuted(lo, hi, slot)
-        n_affected = int(us.size)
-        self.counters.slot_evaluations += n_affected
-        self.counters.knn_queries += n_affected
-        if n_affected == 0:
-            return delta
-        new_totals = kernel.merge_totals(
-            slot,
-            reliability,
-            us,
-            self._totals[us],
-            self._dfar[us],
-            self._efar[us],
-            self._lamfar[us],
-        )
+        window = slice(lo, hi + 1)
+        offsets = slice(kernel.m + lo - slot, kernel.m + hi + 1 - slot)
+        stays = kernel.cand_key[offsets] >= self._farkey[window]
+        added = kernel.reach[offsets]
+        if reliability != 1.0:
+            added = added * reliability
+        totals = self._totals[window]
+        new_totals = totals + (added - self._evict[window])
+        np.copyto(new_totals, totals, where=stays)
         unit = self._all_unit and reliability == 1.0
-        new_phi = kernel.phi_of_totals(new_totals, unit=unit)
+        terms = kernel.phi_of_totals(new_totals, unit=unit)
+        terms -= self._phi[window]
+        keep = ~self._exec_mask[window]
+        keep[slot - lo] = False
+        affected = terms[keep]
+        n_affected = affected.size
+        counters.slot_evaluations += 1 + n_affected
+        counters.knn_queries += n_affected
         # Accumulate in the scalar path's exact sequential order
         # (self term first, then ascending slots): cumsum is a strict
         # left-to-right reduction, unlike np.sum's pairwise one, so
         # mathematically tied candidates produce bitwise-identical
         # gains on both backends and tie-breaking stays plan-stable.
-        terms = np.empty(n_affected + 1, dtype=np.float64)
-        terms[0] = delta
-        np.subtract(new_phi, self._phi[us], out=terms[1:])
-        return float(np.cumsum(terms)[-1])
+        ordered = np.empty(n_affected + 1, dtype=np.float64)
+        ordered[0] = delta
+        ordered[1:] = affected
+        return float(ordered.cumsum()[-1])
 
     def _execute_numpy(self, slot: int, reliability: float) -> list[SlotChange]:
         kernel = self._kernel
@@ -330,29 +352,25 @@ class TemporalQualityEvaluator:
         if reliability != 1.0:
             self._all_unit = False
         self._exec_mask[slot] = True
-        self._exec_arr = np.array(self._executed.as_list(), dtype=np.int64)
-        self._exec_lam = np.array(
-            [self._reliability[e] for e in self._exec_arr], dtype=np.float64
-        )
+        self._rel_of[slot] = reliability
+        self._farkey[slot] = -1
         new_phi_slot = kernel.phi_executed(reliability)
         self._quality += new_phi_slot - float(self._phi[slot])
         self._p[slot] = new_p
         self._phi[slot] = new_phi_slot
         changes.append(SlotChange(slot, old_p, new_p))
 
-        us = self._window_unexecuted(lo, hi, slot)
+        us = np.nonzero(~self._exec_mask[lo : hi + 1])[0]
         n_affected = int(us.size)
         self.counters.slot_evaluations += n_affected
         self.counters.knn_queries += n_affected
         if n_affected:
-            totals, dfar, efar, lamfar = kernel.batch_knn(
-                self._exec_arr, self._exec_lam, us
-            )
+            us += lo
+            executed = np.array(self._executed.as_list(), dtype=np.int64)
+            totals, farkey, evict = kernel.batch_knn(executed, self._rel_of, us)
             new_p_arr = totals / kernel.denom
             new_phi = kernel.phi_of_totals(totals, unit=self._all_unit)
             old_p_arr = self._p[us]
-            old_phi = self._phi[us]
-            changed = new_p_arr != old_p_arr
             # Chain the deltas onto the running quality in the scalar
             # path's sequential ascending-slot order (unchanged slots
             # contribute an exact 0.0), keeping the quality bitwise
@@ -361,20 +379,22 @@ class TemporalQualityEvaluator:
             # stream, the MMQM weakest-task heap).
             terms = np.empty(n_affected + 1, dtype=np.float64)
             terms[0] = self._quality
-            np.subtract(new_phi, old_phi, out=terms[1:])
-            self._quality = float(np.cumsum(terms)[-1])
+            np.subtract(new_phi, self._phi[us], out=terms[1:])
+            self._quality = float(terms.cumsum()[-1])
             self._totals[us] = totals
-            self._dfar[us] = dfar
-            self._efar[us] = efar
-            self._lamfar[us] = lamfar
+            self._farkey[us] = farkey - us
+            self._evict[us] = evict
             self._p[us] = new_p_arr
             self._phi[us] = new_phi
-            for idx in np.nonzero(changed)[0]:
-                changes.append(
-                    SlotChange(
-                        int(us[idx]), float(old_p_arr[idx]), float(new_p_arr[idx])
-                    )
+            changed = np.nonzero(new_p_arr != old_p_arr)[0]
+            changes.extend(
+                map(
+                    SlotChange,
+                    us[changed].tolist(),
+                    old_p_arr[changed].tolist(),
+                    new_p_arr[changed].tolist(),
                 )
+            )
         return changes
 
     # ------------------------------------------------------------------

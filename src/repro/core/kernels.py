@@ -11,10 +11,16 @@ pass:
 * :class:`QualityKernel` — per-``(m, k)`` batch primitives:
 
   - ``batch_knn``: temporal k-NN state (weighted totals, and the
-    k-th-neighbour distance/index/reliability needed by the Eq.-6
-    merge rule) for many query slots at once, via ``searchsorted``
-    over the sorted executed-slot array plus a ``2k``-wide candidate
-    sort;
+    k-th neighbour's merge key and eviction term needed by the Eq.-6
+    merge rule) for many query slots at once, via
+    ``searchsorted`` over the sorted executed-slot array plus a
+    ``2k``-wide sort of candidate keys ``distance * (m + 2) + slot``;
+  - ``cand_key`` / ``reach``: per-``(m, k)`` merge tables indexed by
+    the offset ``m + (u - s)`` between a window slot ``u`` and a
+    candidate ``s`` — the candidate's merge key relative to ``u`` and
+    its interpolation weight ``m - |u - s|``.  The evaluator keeps each
+    slot's k-th-neighbour key relative to the slot too, so a gain
+    compares one contiguous slice against another;
   - ``phi_of_totals``: entropy terms from raw weighted totals, served
     from a precomputed *phi table* whenever every reliability is 1.0
     — in that case a slot's total is an integer in ``[0, k*m]``
@@ -81,10 +87,11 @@ class QualityKernel:
     :func:`get_kernel`).
     """
 
-    #: Sentinel k-th-neighbour distance meaning "fewer than k
-    #: neighbours exist": larger than any real distance, so a merge
-    #: candidate always enters and nothing is evicted.
-    NO_KTH = None  # set per instance (m + 2)
+    #: Sentinel k-th-neighbour merge key meaning "fewer than k
+    #: neighbours exist": the key of distance ``m + 2`` at slot 0,
+    #: larger than any real key, so a merge candidate always enters
+    #: and nothing is evicted.
+    NO_KEY = None  # set per instance ((m + 2) ** 2)
 
     def __init__(self, m: int, k: int):
         if m < 3:
@@ -94,7 +101,6 @@ class QualityKernel:
         self.m = m
         self.k = k
         self.denom = float(k * m * m)
-        self.NO_KTH = m + 2
         # Integer-total phi table: phi(t / (k m^2)) for t in 0..k*m.
         # Built with the *scalar* entropy_term so unit-reliability
         # lookups are bitwise identical to the python backend (the
@@ -106,7 +112,18 @@ class QualityKernel:
         # Tie-break key stride: key = distance * stride + slot orders
         # candidates by (distance, slot index), both <= m + 1.
         self._stride = m + 2
-        self._offsets = np.arange(-k, k, dtype=np.intp)
+        self.NO_KEY = (m + 2) * self._stride
+        self._offsets = np.arange(0, 2 * k, dtype=np.intp)
+        self._pad_lo = np.full(k, -3 * m, dtype=np.int64)
+        self._pad_hi = np.full(k, 3 * m, dtype=np.int64)
+        # Merge tables indexed by ``m + d`` for a window slot ``u`` and
+        # a candidate ``s = u - d``, so a window is a contiguous slice:
+        # the candidate's merge key relative to ``u``,
+        # ``|d| * (m + 2) + s - u`` (never negative), and its
+        # interpolation weight ``m - |d|``.
+        d = np.arange(-m, m + 1, dtype=np.int64)
+        self.cand_key = np.abs(d) * self._stride - d
+        self.reach = (m - np.abs(d)).astype(np.float64)
 
     # ------------------------------------------------------------------
     # Entropy
@@ -118,8 +135,9 @@ class QualityKernel:
         making the totals exact integers on the phi-table grid.
         """
         if unit:
-            idx = np.rint(totals).astype(np.intp)
-            return np.take(self.phi_table, idx)
+            # Sums of integer terms are exact in float64: truncation
+            # is the table index itself.
+            return self.phi_table.take(totals.astype(np.intp))
         return phi_array(totals / self.denom)
 
     def phi_executed(self, reliability: float) -> float:
@@ -140,83 +158,47 @@ class QualityKernel:
     def batch_knn(
         self,
         executed: np.ndarray,
-        reliabilities: np.ndarray,
+        reliability_of: np.ndarray,
         queries: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """k-NN interpolation state for many unexecuted slots at once.
 
-        ``executed`` is the sorted executed-slot array (int64) with
-        ``reliabilities`` aligned to it; ``queries`` are unexecuted
-        slot indices.  Returns ``(totals, dfar, efar, lamfar)`` where
+        ``executed`` is the sorted executed-slot array (int64);
+        ``reliability_of`` is indexed by slot, holding each executed
+        slot's reliability and 0.0 at index 0; ``queries`` are
+        unexecuted slot indices.  Returns ``(totals, farkey, evict)``
+        where
 
         * ``totals[i] = sum_{e in kNN(q_i)} lambda_e * (m - |e - q_i|)``
           (so ``p = totals / (k m^2)``),
-        * ``dfar/efar/lamfar`` describe the k-th nearest neighbour
-          (the one a closer insertion would evict); ``dfar`` is the
-          :attr:`NO_KTH` sentinel when fewer than ``k`` exist.
+        * ``farkey[i] = |e - q_i| * (m + 2) + e`` is the merge key of
+          the k-th nearest neighbour ``e`` (the one a closer insertion
+          would evict), :attr:`NO_KEY` when fewer than ``k`` exist,
+        * ``evict[i] = lambda_e * (m - |e - q_i|)`` is that neighbour's
+          term of the total (0.0 when fewer than ``k`` exist).
 
         Ties break toward the smaller slot index, exactly like
-        :meth:`repro.util.sorted_slots.SortedSlots.k_nearest`.
+        :meth:`repro.util.sorted_slots.SortedSlots.k_nearest`: the
+        ``2k`` candidates around each query are ranked by that merge
+        key, which is unique per real candidate, so sorting the keys
+        themselves (no argsort, no gathers) yields the neighbours in
+        order, and distance and slot decode back out of each key.
         """
-        W = queries.size
         m, k = self.m, self.k
-        if executed.size == 0 or W == 0:
-            totals = np.zeros(W, dtype=np.float64)
-            dfar = np.full(W, self.NO_KTH, dtype=np.int64)
-            efar = np.zeros(W, dtype=np.int64)
-            lamfar = np.zeros(W, dtype=np.float64)
-            return totals, dfar, efar, lamfar
-        n = executed.size
-        ins = np.searchsorted(executed, queries)
-        cand_idx = ins[:, None] + self._offsets[None, :]
-        valid = (cand_idx >= 0) & (cand_idx < n)
-        cand_idx = np.clip(cand_idx, 0, n - 1)
-        cand = executed[cand_idx]
-        dist = np.abs(cand - queries[:, None])
-        key = dist * self._stride + cand
-        # Invalid candidates sort last.
-        big = (m + 2) * self._stride
-        key = np.where(valid, key, big)
-        order = np.argsort(key, axis=1, kind="stable")[:, :k]
-        top_dist = np.take_along_axis(dist, order, axis=1)
-        top_valid = np.take_along_axis(valid, order, axis=1)
-        top_cand = np.take_along_axis(cand, order, axis=1)
-        top_lam = reliabilities[np.take_along_axis(cand_idx, order, axis=1)]
-        contrib = np.where(top_valid, top_lam * (m - top_dist), 0.0)
-        totals = contrib.sum(axis=1)
-        has_k = top_valid[:, -1]
-        dfar = np.where(has_k, top_dist[:, -1], self.NO_KTH)
-        efar = np.where(has_k, top_cand[:, -1], 0)
-        lamfar = np.where(has_k, top_lam[:, -1], 0.0)
-        return totals, dfar, efar, lamfar
-
-    # ------------------------------------------------------------------
-    # Batch tentative-insertion gain
-    # ------------------------------------------------------------------
-    def merge_totals(
-        self,
-        slot: int,
-        reliability: float,
-        queries: np.ndarray,
-        totals: np.ndarray,
-        dfar: np.ndarray,
-        efar: np.ndarray,
-        lamfar: np.ndarray,
-    ) -> np.ndarray:
-        """Totals after tentatively executing ``slot``, per query.
-
-        Implements the scalar merge rule of
-        ``TemporalQualityEvaluator._p_with_extra`` in one pass: the
-        candidate enters a query's k-NN set iff ``(d, slot)`` precedes
-        the current k-th neighbour lexicographically, evicting it (or
-        nothing, when fewer than ``k`` neighbours exist).
-        """
-        m = self.m
-        D = np.abs(queries - slot)
-        enters = (D < dfar) | ((D == dfar) & (slot < efar))
-        evicted = np.where(dfar <= m, lamfar * (m - dfar), 0.0)
-        delta = reliability * (m - D) - evicted
-        return totals + np.where(enters, delta, 0.0)
+        stride = self._stride
+        # k sentinels on each side keep every candidate index in range;
+        # they lie more than m + 2 slots from any query, so their keys
+        # exceed NO_KEY and clamp to it: out-of-range candidates sort
+        # last and decode to distance m + 2 at slot 0 (reliability 0).
+        padded = np.concatenate((self._pad_lo, executed, self._pad_hi))
+        cand = padded[np.searchsorted(executed, queries)[:, None] + self._offsets]
+        key = np.abs(cand - queries[:, None]) * stride + cand
+        np.minimum(key, self.NO_KEY, out=key)
+        top = np.sort(key, axis=1)[:, :k]
+        top_dist, top_cand = np.divmod(top, stride)
+        top_lam = reliability_of[top_cand]
+        contrib = np.where(top < self.NO_KEY, top_lam * (m - top_dist), 0.0)
+        return contrib.sum(axis=1), top[:, -1], contrib[:, -1]
 
 
 _KERNELS: dict[tuple[int, int], QualityKernel] = {}

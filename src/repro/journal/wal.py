@@ -109,22 +109,101 @@ def encode_event(event: Event) -> dict:
     raise ConfigurationError(f"unknown event type {type(event).__name__}")
 
 
-def decode_event(payload: dict) -> Event:
-    """Inverse of :func:`encode_event`."""
-    kind = payload["kind"]
-    if kind == "arrival":
-        return TaskArrival(
-            time=payload["time"],
-            task=Task.from_dict(payload["task"]),
-            budget=payload["budget"],
+#: The JSON types :func:`encode_event` writes, field by field.  Types
+#: match exactly (``type(v) in types``), so a bool never passes as an
+#: int; a JSON int is a valid float.
+_NUMBER = (int, float)
+_EVENT_FIELDS = {
+    "arrival": {"kind": (str,), "time": _NUMBER, "task": (dict,),
+                "budget": (int, float, type(None))},
+    "join": {"kind": (str,), "time": _NUMBER, "worker": (dict,)},
+    "leave": {"kind": (str,), "time": _NUMBER, "worker_id": (int,)},
+    "refresh": {"kind": (str,), "time": _NUMBER, "amount": _NUMBER},
+}
+_TASK_FIELDS = {"task_id": (int,), "loc": (list,), "num_slots": (int,),
+                "start_slot": (int,)}
+_WORKER_FIELDS = {"worker_id": (int,), "availability": (list,),
+                  "reliability": _NUMBER}
+
+
+def _check_fields(payload, schema: dict, label: str) -> None:
+    """Raise unless ``payload`` has exactly ``schema``'s fields and types."""
+    if type(payload) is not dict or payload.keys() != schema.keys():
+        raise JournalCorruptionError(
+            f"malformed {label} in journal: expected fields {sorted(schema)}, "
+            f"got {sorted(payload) if type(payload) is dict else type(payload).__name__}"
         )
-    if kind == "join":
-        return WorkerJoin(time=payload["time"], worker=Worker.from_dict(payload["worker"]))
-    if kind == "leave":
-        return WorkerLeave(time=payload["time"], worker_id=payload["worker_id"])
-    if kind == "refresh":
+    for name, types in schema.items():
+        value = payload[name]
+        # value != value: NaN, which no encoded event carries.
+        if type(value) not in types or value != value:
+            raise JournalCorruptionError(
+                f"malformed {label} in journal: {name}={value!r}"
+            )
+
+
+def _check_point(coords: list, label: str) -> None:
+    """Raise unless ``coords`` is ``[x, y]`` with exact float values."""
+    try:
+        # Points hold floats: an int must convert exactly.
+        exact = len(coords) == 2 and all(
+            type(c) in _NUMBER and float(c) == c for c in coords
+        )
+    except OverflowError:  # an int past the float range
+        exact = False
+    if not exact:
+        raise JournalCorruptionError(f"malformed {label} in journal: {coords!r}")
+
+
+def decode_event(payload: dict) -> Event:
+    """Inverse of :func:`encode_event`.
+
+    Anything :func:`encode_event` cannot have written — a missing,
+    extra or wrong-typed field, a malformed nested task or worker, or a
+    value the event types reject — raises
+    :class:`~repro.errors.JournalCorruptionError`; whatever decodes
+    re-encodes to a payload ``==`` the input.
+    """
+    kind = payload.get("kind") if type(payload) is dict else None
+    schema = _EVENT_FIELDS.get(kind) if type(kind) is str else None
+    if schema is None:
+        raise JournalCorruptionError(f"unknown event kind {kind!r} in journal")
+    _check_fields(payload, schema, f"{kind} event")
+    try:
+        if kind == "arrival":
+            task = payload["task"]
+            _check_fields(task, _TASK_FIELDS, "task")
+            _check_point(task["loc"], "task loc")
+            return TaskArrival(
+                time=payload["time"],
+                task=Task.from_dict(task),
+                budget=payload["budget"],
+            )
+        if kind == "join":
+            worker = payload["worker"]
+            _check_fields(worker, _WORKER_FIELDS, "worker")
+            last = 0
+            for entry in worker["availability"]:
+                # [slot, x, y], slots strictly ascending from 1 — the
+                # order to_dict writes, so the re-encoding is identical.
+                if type(entry) is not list or len(entry) != 3:
+                    raise JournalCorruptionError(
+                        f"malformed availability entry {entry!r} in journal"
+                    )
+                if type(entry[0]) is not int or entry[0] <= last:
+                    raise JournalCorruptionError(
+                        f"availability slot {entry[0]!r} after {last} in journal"
+                    )
+                _check_point(entry[1:], "availability")
+                last = entry[0]
+            return WorkerJoin(time=payload["time"], worker=Worker.from_dict(worker))
+        if kind == "leave":
+            return WorkerLeave(time=payload["time"], worker_id=payload["worker_id"])
         return BudgetRefresh(time=payload["time"], amount=payload["amount"])
-    raise JournalCorruptionError(f"unknown event kind {kind!r} in journal")
+    except ConfigurationError as exc:
+        # In-range checks of the event and model types (negative time,
+        # num_slots < 3, reliability outside [0, 1], ...).
+        raise JournalCorruptionError(f"malformed {kind} event in journal: {exc}") from exc
 
 
 # ----------------------------------------------------------------------

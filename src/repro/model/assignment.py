@@ -57,6 +57,15 @@ class Assignment:
     """The full output plan of a solver, in greedy execution order."""
 
     records: list[AssignmentRecord] = field(default_factory=list)
+    #: The slots of ``records`` per task id: duplicate checks in O(1).
+    _slots: dict[int, set[int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        records, self.records = self.records, []
+        for record in records:
+            self.add(record)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -66,9 +75,13 @@ class Assignment:
 
     def add(self, record: AssignmentRecord) -> None:
         """Append a record, rejecting duplicate (task, slot) pairs."""
-        key = (record.task_id, record.slot)
-        if any((r.task_id, r.slot) == key for r in self.records):
+        slots = self._slots.get(record.task_id)
+        if slots is None:
+            slots = self._slots[record.task_id] = set()
+        elif record.slot in slots:
+            key = (record.task_id, record.slot)
             raise ConfigurationError(f"slot {key} assigned twice")
+        slots.add(record.slot)
         self.records.append(record)
 
     @property
@@ -78,7 +91,7 @@ class Assignment:
 
     def executed_slots(self, task_id: int) -> list[int]:
         """Sorted local slots executed for ``task_id``."""
-        return sorted(r.slot for r in self.records if r.task_id == task_id)
+        return sorted(self._slots.get(task_id, ()))
 
     def records_for(self, task_id: int) -> list[AssignmentRecord]:
         """Records of one task, in execution order."""

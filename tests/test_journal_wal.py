@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.journal
 from repro.errors import JournalCorruptionError
@@ -31,6 +33,144 @@ class TestEventCodec:
     def test_unknown_kind_raises_typed(self):
         with pytest.raises(JournalCorruptionError):
             decode_event({"kind": "meteor", "time": 0.0})
+
+
+# Valid events, then damaged copies of their encodings.
+_coord = st.floats(-1e6, 1e6, allow_nan=False)
+_tasks = st.builds(
+    Task,
+    task_id=st.integers(0, 10**6),
+    loc=st.builds(Point, _coord, _coord),
+    num_slots=st.integers(3, 500),
+    start_slot=st.integers(1, 500),
+)
+_workers = st.builds(
+    Worker,
+    worker_id=st.integers(0, 10**6),
+    availability=st.dictionaries(
+        st.integers(1, 400), st.builds(Point, _coord, _coord), max_size=6
+    ),
+    reliability=st.floats(0.0, 1.0),
+)
+_times = st.floats(0.0, 1e6)
+_events = st.one_of(
+    st.builds(TaskArrival, time=_times, task=_tasks,
+              budget=st.none() | st.floats(0.0, 1e6)),
+    st.builds(WorkerJoin, time=_times, worker=_workers),
+    st.builds(WorkerLeave, time=_times, worker_id=st.integers(0, 10**6)),
+    st.builds(BudgetRefresh, time=_times, amount=st.floats(0.0, 1e6)),
+)
+# JSON number edges: ints with no exact float (past 2**53) or none at
+# all (past 10**308), NaN, infinities, negative zero.
+_edges = st.sampled_from(
+    [2**53 + 1, -(2**63) - 1, 10**30 + 1, 10**400, float("nan"),
+     float("inf"), -0.0]
+)
+_leaves = (
+    st.none() | st.booleans() | st.integers(-5, 5) | _edges
+    | st.integers() | st.floats() | st.text(max_size=4)
+)
+_json_values = st.recursive(
+    _leaves,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _positions(node, out):
+    """``(container, key)`` of every value inside ``node``."""
+    if isinstance(node, dict):
+        keys = sorted(node)
+    elif isinstance(node, list):
+        keys = range(len(node))
+    else:
+        return out
+    for key in keys:
+        out.append((node, key))
+        _positions(node[key], out)
+    return out
+
+
+@st.composite
+def _damaged_payloads(draw):
+    payload = copy.deepcopy(encode_event(draw(_events)))
+    for _ in range(draw(st.integers(1, 2))):
+        positions = _positions(payload, [])
+        op = draw(st.sampled_from(["replace", "replace", "drop", "add", "reverse"]))
+        if op == "replace" and positions:
+            container, key = draw(st.sampled_from(positions))
+            container[key] = draw(_leaves | _json_values)
+            continue
+        containers = [payload] + [
+            c[k] for c, k in positions if isinstance(c[k], (dict, list))
+        ]
+        target = draw(st.sampled_from(containers))
+        if isinstance(target, dict):
+            if op == "drop" and target:
+                del target[draw(st.sampled_from(sorted(target)))]
+            else:
+                target[draw(st.text(max_size=6))] = draw(_json_values)
+        elif op == "drop" and target:
+            del target[draw(st.integers(0, len(target) - 1))]
+        elif op == "reverse":
+            target.reverse()
+        else:
+            target.insert(draw(st.integers(0, len(target))), draw(_json_values))
+    return draw(st.sampled_from([payload, payload, payload, draw(_json_values)]))
+
+
+class TestDecodeEventRobustness:
+    @settings(deadline=None, max_examples=300)
+    @given(event=_events)
+    def test_valid_events_round_trip(self, event):
+        payload = json.loads(json.dumps(encode_event(event)))
+        assert decode_event(payload) == event
+        assert encode_event(decode_event(payload)) == payload
+
+    @settings(deadline=None, max_examples=1000)
+    @given(payload=_damaged_payloads())
+    def test_damaged_payload_is_typed_error_or_exact_round_trip(self, payload):
+        try:
+            event = decode_event(payload)
+        except JournalCorruptionError:
+            return
+        assert encode_event(event) == payload
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            None,
+            [],
+            {"kind": ["arrival"], "time": 0.0},
+            {"time": 1.0, "amount": 2.0},
+            {"kind": "refresh", "time": 1.0},
+            {"kind": "refresh", "time": 1.0, "amount": 2.0, "extra": 0},
+            {"kind": "refresh", "time": "1.0", "amount": 2.0},
+            {"kind": "refresh", "time": True, "amount": 2.0},
+            {"kind": "refresh", "time": float("nan"), "amount": 2.0},
+            {"kind": "refresh", "time": -1.0, "amount": 2.0},
+            {"kind": "leave", "time": 1.0, "worker_id": 1.5},
+            {"kind": "arrival", "time": 1.0, "budget": None, "task": {
+                "task_id": 1, "loc": "xy", "num_slots": 8, "start_slot": 1}},
+            {"kind": "arrival", "time": 1.0, "budget": None, "task": {
+                "task_id": 1, "loc": [0, 10**400], "num_slots": 8, "start_slot": 1}},
+            {"kind": "arrival", "time": 1.0, "budget": None, "task": {
+                "task_id": 1, "loc": [0, 10**30], "num_slots": 8, "start_slot": 1}},
+            {"kind": "arrival", "time": 1.0, "budget": None, "task": {
+                "task_id": 1, "loc": [0, 0], "num_slots": 2, "start_slot": 1}},
+            {"kind": "join", "time": 1.0, "worker": {
+                "worker_id": 1, "availability": [[2, 0, 0], [1, 0, 0]],
+                "reliability": 1.0}},
+            {"kind": "join", "time": 1.0, "worker": {
+                "worker_id": 1, "availability": [[1, 0]], "reliability": 1.0}},
+            {"kind": "join", "time": 1.0, "worker": {
+                "worker_id": 1, "availability": [], "reliability": 1.5}},
+        ],
+    )
+    def test_known_malformations_raise_typed(self, payload):
+        with pytest.raises(JournalCorruptionError):
+            decode_event(payload)
 
 
 class TestWriteAheadLog:

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.evaluator import TemporalQualityEvaluator
 from repro.core.greedy import IndexedSingleTaskGreedy, SingleTaskGreedy
@@ -137,6 +139,111 @@ def test_backend_parity_execute_change_sets():
 def test_numpy_backend_rejects_unknown_name():
     with pytest.raises(ConfigurationError):
         TemporalQualityEvaluator(10, 3, backend="fortran")
+
+
+# ----------------------------------------------------------------------
+# Slice-and-key gain vs the retired gather-and-merge rule (property)
+# ----------------------------------------------------------------------
+def _retired_merge_gain(ev, slot, reliability):
+    """The numpy gain as the retired gather path computed it.
+
+    Gathers the unexecuted window slots, finds each one's k-th
+    neighbour by brute force, and applies the Eq.-6 merge rule
+    ``(D < dfar) | (D == dfar & slot < efar)`` over the evaluator's
+    stored totals and phi values — the rule the per-slot merge keys
+    replaced.  Reads evaluator state only; counts nothing.
+    """
+    m, k = ev.m, ev.k
+    kernel = get_kernel(m, k)
+    executed = dict(ev._reliability)
+    lo, hi = ev.affected_window(slot)
+    us = np.array(
+        [u for u in range(lo, hi + 1) if u != slot and u not in executed],
+        dtype=np.int64,
+    )
+    delta = kernel.phi_executed(reliability) - float(ev._phi[slot])
+    if us.size == 0:
+        return delta
+    dfar = np.full(us.size, m + 2, dtype=np.int64)  # fewer than k: never evicts
+    efar = np.zeros(us.size, dtype=np.int64)
+    lamfar = np.zeros(us.size, dtype=np.float64)
+    for i, u in enumerate(us.tolist()):
+        near = sorted(executed, key=lambda e: (abs(e - u), e))[:k]
+        if len(near) == k:
+            dfar[i], efar[i], lamfar[i] = abs(near[-1] - u), near[-1], executed[near[-1]]
+    D = np.abs(us - slot)
+    enters = (D < dfar) | ((D == dfar) & (slot < efar))
+    evicted = np.where(dfar <= m, lamfar * (m - dfar), 0.0)
+    new_totals = ev._totals[us] + np.where(enters, reliability * (m - D) - evicted, 0.0)
+    unit = all(lam == 1.0 for lam in executed.values()) and reliability == 1.0
+    terms = np.empty(us.size + 1, dtype=np.float64)
+    terms[0] = delta
+    terms[1:] = kernel.phi_of_totals(new_totals, unit=unit) - ev._phi[us]
+    return float(np.cumsum(terms)[-1])
+
+
+@st.composite
+def _kernel_cases(draw):
+    m = draw(st.integers(3, 60))
+    k = draw(st.integers(1, 6))
+    order = draw(st.permutations(range(1, m + 1)))
+    steps = draw(st.integers(0, m - 1))
+    unit = draw(st.booleans())
+    if unit:
+        lams = [1.0] * steps
+    else:
+        lams = draw(
+            st.lists(
+                st.sampled_from([0.0, 0.25, 0.5, 0.9, 1.0]) | st.floats(0.0, 1.0),
+                min_size=steps,
+                max_size=steps,
+            )
+        )
+    cand_lam = 1.0 if unit else draw(st.floats(0.0, 1.0))
+    return m, k, list(order[:steps]), lams, unit, cand_lam
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=_kernel_cases())
+def test_numpy_gain_matches_retired_merge_rule_and_python(case):
+    m, k, order, lams, unit, cand_lam = case
+    c_py, c_np = OpCounters(), OpCounters()
+    ev_py = TemporalQualityEvaluator(m, k, counters=c_py)
+    ev_np = TemporalQualityEvaluator(m, k, counters=c_np, backend="numpy")
+    for slot, lam in zip(order, lams):
+        assert ev_np.execute(slot, lam) == ev_py.execute(slot, lam)
+    assert asdict(c_np) == asdict(c_py)
+    for cand in range(1, m + 1):
+        if ev_py.is_executed(cand):
+            continue
+        oracle = _retired_merge_gain(ev_np, cand, cand_lam)
+        before_py, before_np = asdict(c_py), asdict(c_np)
+        g_np = ev_np.gain_if_executed(cand, cand_lam)
+        g_py = ev_py.gain_if_executed(cand, cand_lam)
+        assert g_np == oracle
+        if unit:
+            assert g_np == g_py
+        else:
+            assert g_np == pytest.approx(g_py, abs=1e-12)
+        delta_py = {f: v - before_py[f] for f, v in asdict(c_py).items()}
+        delta_np = {f: v - before_np[f] for f, v in asdict(c_np).items()}
+        assert delta_np == delta_py
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=_kernel_cases())
+def test_numpy_farthest_neighbor_matches_python(case):
+    m, k, order, lams, _, _ = case
+    ev_py = TemporalQualityEvaluator(m, k)
+    ev_np = TemporalQualityEvaluator(m, k, backend="numpy")
+    for slot, lam in zip(order, lams):
+        ev_py.execute(slot, lam)
+        ev_np.execute(slot, lam)
+        for s in range(1, m + 1):
+            got = ev_np.farthest_neighbor(s)
+            assert got == ev_py.farthest_neighbor(s)
+            if got is not None:
+                assert type(got[0]) is int and type(got[1]) is float
 
 
 # ----------------------------------------------------------------------

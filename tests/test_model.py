@@ -128,6 +128,50 @@ class TestAssignment:
         with pytest.raises(ConfigurationError):
             assignment.add(AssignmentRecord(1, 2, 11, 2.0))
 
+    def test_duplicate_check_is_per_task_slot_pair(self):
+        plan = Assignment()
+        plan.add(AssignmentRecord(1, 2, 10, 1.0))
+        plan.add(AssignmentRecord(2, 2, 10, 1.0))  # same slot, other task
+        plan.add(AssignmentRecord(1, 3, 10, 1.0))  # same task, other slot
+        with pytest.raises(ConfigurationError, match=r"slot \(2, 2\) assigned twice"):
+            plan.add(AssignmentRecord(2, 2, 99, 0.5))
+        # A rejected add leaves the plan untouched.
+        assert plan.plan_signature() == ((1, 2, 10), (2, 2, 10), (1, 3, 10))
+
+    def test_add_keeps_insertion_order_over_many_records(self):
+        rng = random.Random(11)
+        pairs = [(t, s) for t in range(20) for s in range(1, 60)]
+        rng.shuffle(pairs)
+        plan = Assignment()
+        for i, (t, s) in enumerate(pairs):
+            plan.add(AssignmentRecord(t, s, i, 1.0))
+        assert [(r.task_id, r.slot) for r in plan] == pairs
+        for t, s in pairs[::97]:
+            with pytest.raises(ConfigurationError):
+                plan.add(AssignmentRecord(t, s, 0, 1.0))
+        assert len(plan) == len(pairs)
+
+    def test_from_dict_round_trip_keeps_duplicate_check(self):
+        plan = Assignment()
+        for slot in (5, 1, 3):
+            plan.add(AssignmentRecord(4, slot, slot * 10, slot / 3))
+        clone = Assignment.from_dict(json.loads(json.dumps(plan.to_dict())))
+        assert clone == plan
+        assert clone.to_dict() == plan.to_dict()
+        with pytest.raises(ConfigurationError):
+            clone.add(AssignmentRecord(4, 3, 7, 1.0))
+        clone.add(AssignmentRecord(4, 2, 7, 1.0))
+        assert clone.plan_signature()[-1] == (4, 2, 7)
+
+    def test_constructor_records_are_checked_too(self):
+        records = [AssignmentRecord(1, 1, 1, 1.0), AssignmentRecord(1, 2, 1, 1.0)]
+        plan = Assignment(records)
+        assert plan.records == records
+        with pytest.raises(ConfigurationError):
+            plan.add(AssignmentRecord(1, 2, 3, 1.0))
+        with pytest.raises(ConfigurationError):
+            Assignment(records + [AssignmentRecord(1, 1, 5, 2.0)])
+
     def test_total_cost_and_queries(self):
         assignment = Assignment()
         assignment.add(AssignmentRecord(1, 2, 10, 1.0))

@@ -22,9 +22,8 @@ Nine subcommands cover the common workflows:
   identity and op-count gates persisted as
   ``benchmarks/BENCH_<SUITE>.json`` (``--smoke`` for the CI-sized
   run): ``perf`` (kernel backends x candidate search), ``shard``
-  (plan identity at shard counts 1/2/4/8), ``par`` (cross-executor
-  byte-identity; wall clock vs the modeled makespan reported, never
-  gated), ``journal`` (crash/recover at every event boundary),
+  (plan identity at shard counts 1/2/4/8), ``journal``
+  (crash/recover at every event boundary),
   ``matrix`` (composed runtimes byte-identical to the legacy
   classes, with and without telemetry), ``degrade`` (certificate
   soundness, overload useful work) and ``elastic`` (migration

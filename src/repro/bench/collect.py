@@ -129,58 +129,6 @@ def _artifact_section(bench_dir: Path) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _par_section(results_dir: Path) -> str:
-    """Markdown block on measured wall clock vs the modeled makespan.
-
-    Clearly labeled as **non-gating**: CI asserts the identity columns
-    of the par suite, never these numbers — they describe the host the
-    suite happened to run on (``cpu_count`` is printed so single-core
-    runners read as what they are).
-    """
-    lines = ["## Measured vs modeled parallelism (non-gating)", ""]
-    payload_path = results_dir / "par_suite.json"
-    if not payload_path.exists():
-        lines.append(
-            "* not run yet — `python -m repro bench par` measures the "
-            "process-pool executor against the modeled SimCluster makespan"
-        )
-        return "\n".join(lines) + "\n"
-    try:
-        payload = json.loads(payload_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        lines.append(f"* `{payload_path.name}` unreadable: {exc}")
-        return "\n".join(lines) + "\n"
-    host = payload.get("host", {})
-    lines.append(
-        f"* host: cpu_count={host.get('cpu_count', '?')} "
-        f"platform={host.get('platform', '?')} — wall-clock numbers are "
-        "**reported, never gated** (the identity columns are the CI gate)"
-    )
-    lines.append(
-        f"* target: >= {payload.get('target_speedup', '?')}x measured at "
-        "4+ shards on scale32, on hosts with the cores to show it"
-    )
-    lines.append("")
-    lines.append(
-        "| scenario | shards | executor | wall (s) | measured x | "
-        "modeled x | identical |"
-    )
-    lines.append("| --- | --- | --- | --- | --- | --- | --- |")
-    for scenario in payload.get("scenarios", []):
-        for count in sorted(scenario["shards"], key=int):
-            row = scenario["shards"][count]
-            for kind in payload.get("executors", []):
-                arm = row["executors"][kind]
-                lines.append(
-                    f"| {scenario['name']} | {count} | {kind} "
-                    f"| {arm['wall_s']:.4f} "
-                    f"| {arm['speedup_vs_serial']:.2f} "
-                    f"| {row['modeled']['speedup']:.2f} "
-                    f"| {'yes' if row['identical'] else 'NO'} |"
-                )
-    return "\n".join(lines) + "\n"
-
-
 def _ledger_section(results_dir: Path) -> str:
     """Markdown block on the regression ledger: cells checked, drift
     detected, and each committed baseline's age (by git commit)."""
@@ -246,8 +194,6 @@ def collect(results_dir: Path | str = DEFAULT_RESULTS) -> str:
         body
         + "\n"
         + _artifact_section(results_dir.parent)
-        + "\n"
-        + _par_section(results_dir)
         + "\n"
         + _ledger_section(results_dir)
     )

@@ -19,13 +19,13 @@ Typed-rejection cells ride along: the unsupported pairings
 telemetry) must raise :class:`~repro.errors.SpecError`.
 
 Per the repo's determinism policy every gate is certificate or
-op-count based; wall-clock is recorded for humans only.  The merged
-artifact is ``benchmarks/BENCH_degrade.json``.
+op-count based, and the payload carries no wall clock: perfbench
+measures the system's time from outside.  The merged artifact is
+``benchmarks/BENCH_degrade.json``.
 """
 
 from __future__ import annotations
 
-import time
 from pathlib import Path
 
 from repro.errors import SpecError
@@ -108,9 +108,7 @@ _REJECTION_ROWS = (
 def _certificate_cell(base: RunSpec, label: str, **approx_fields) -> dict:
     exact = build_runtime(base.validate()).run()
     spec = base.replace(**approx_fields).validate()
-    start = time.perf_counter()
     outcome = build_runtime(spec).run()
-    wall = time.perf_counter() - start
     violations = []
     compared = 0
     for task_id, certificate in sorted((outcome.certificates or {}).items()):
@@ -145,7 +143,6 @@ def _certificate_cell(base: RunSpec, label: str, **approx_fields) -> dict:
         "quality_approx": sum(outcome.qualities.values()),
         "violations": violations,
         "sound": not violations,
-        "wall_s": wall,
     }
 
 
@@ -168,9 +165,7 @@ def _run_overloaded(spec: RunSpec) -> dict:
     injections = _overload_injections()
     trace = apply_injections(StreamRuntime(spec).scenario(), injections)
     runtime = StreamRuntime(spec, scenario=trace, chaos=injections)
-    start = time.perf_counter()
     outcome = runtime.run()
-    wall = time.perf_counter() - start
     metrics = outcome.metrics
     completed_q = [q for q in metrics.promised_quality.values() if q > 0.0]
     controller = getattr(runtime.server, "degradation", None)
@@ -190,7 +185,6 @@ def _run_overloaded(spec: RunSpec) -> dict:
         "transitions": (
             0 if controller is None else len(controller.transitions)
         ),
-        "wall_s": wall,
     }
 
 

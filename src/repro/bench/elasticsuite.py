@@ -23,13 +23,13 @@ stream cell of ``bench matrix``):
   makespan by the gated ratio, while staying plan-identical to it —
   rebalancing may only move work, never change it.
 
-Per the determinism policy, every gate is op-count/equality based;
-wall-clock is recorded for humans only.
+Per the determinism policy, every gate is op-count/equality based.
+The payload carries no wall clock: perfbench measures the system's time
+from outside.
 """
 
 from __future__ import annotations
 
-import time
 from pathlib import Path
 
 from repro.bench.report import signature_hash as _signature_hash
@@ -116,7 +116,6 @@ def _sweep_executors(num_executors: int) -> dict:
             **SWEEP_KWARGS,
         )
 
-    start = time.perf_counter()
     ref = build(ElasticController.fixed([]))
     ref_metrics = ref.run(list(trace.events))
     ref_sig = ref.assignment().plan_signature()
@@ -142,7 +141,6 @@ def _sweep_executors(num_executors: int) -> dict:
             and [core.counters for core in server.servers] == ref_counters
         ):
             identical += 1
-    wall_sweep = time.perf_counter() - start
 
     return {
         "num_executors": num_executors,
@@ -155,7 +153,6 @@ def _sweep_executors(num_executors: int) -> dict:
         ),
         "plan_length": len(ref_sig),
         "signature": _signature_hash(ref_sig),
-        "wall_sweep_s": wall_sweep,
     }
 
 
@@ -174,10 +171,8 @@ def _skew_arm(num_executors: int) -> dict:
         )
         return server, server.run(list(trace.events))
 
-    start = time.perf_counter()
     static_server, static = run(ElasticController.fixed([]))
     auto_server, auto = run(ElasticController(**SKEW_CONTROLLER))
-    wall = time.perf_counter() - start
 
     identical = (
         auto_server.assignment().plan_signature()
@@ -198,7 +193,6 @@ def _skew_arm(num_executors: int) -> dict:
         "signature": _signature_hash(
             auto_server.assignment().plan_signature()
         ),
-        "wall_s": wall,
     }
 
 

@@ -22,14 +22,14 @@ Three measurements per scenario:
   boundary sweep; snapshots must make the mean strictly cheaper than
   full-trace replay.
 
-Per the determinism policy, every gate is op-count/equality based;
-wall-clock is recorded for humans only.
+Per the determinism policy, every gate is op-count/equality based.
+The payload carries no wall clock: perfbench measures the system's time
+from outside.
 """
 
 from __future__ import annotations
 
 import tempfile
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -127,24 +127,19 @@ def _sweep_plain(base: RunSpec, scenario, *, workdir: Path) -> dict:
     """
     events = list(scenario.events)
     total = len(events)
-    start = time.perf_counter()
     ref = StreamRuntime(base, scenario=scenario).run()
-    wall_clean = time.perf_counter() - start
     ref_metrics = ref.metrics
     ref_sig = ref.plan_signature
 
-    start = time.perf_counter()
     journaled = StreamRuntime(
         base.replace(journal=str(workdir / "uninterrupted")),
         scenario=scenario,
     ).run()
-    wall_journaled = time.perf_counter() - start
     journal = journal_layer(journaled.server).journal
 
     replayed: list[int] = []
     snapshot_recoveries = 0
     identical = 0
-    start = time.perf_counter()
     for boundary in range(total):
         jdir = workdir / f"crash-{boundary}"
         crashed = StreamRuntime(
@@ -165,7 +160,6 @@ def _sweep_plain(base: RunSpec, scenario, *, workdir: Path) -> dict:
             identical += 1
         replayed.append(recovered.recovery.events_replayed)
         snapshot_recoveries += recovered.recovery.snapshot_loaded
-    wall_sweep = time.perf_counter() - start
 
     return {
         "total_events": total,
@@ -189,9 +183,6 @@ def _sweep_plain(base: RunSpec, scenario, *, workdir: Path) -> dict:
             "mean_events_replayed": round(sum(replayed) / max(total, 1), 3),
             "max_events_replayed": max(replayed, default=0),
         },
-        "wall_clean_s": wall_clean,
-        "wall_journaled_s": wall_journaled,
-        "wall_sweep_s": wall_sweep,
     }
 
 
@@ -217,7 +208,6 @@ def _sweep_sharded(
     identical = 0
     replayed: list[int] = []
     boundary = 0
-    start = time.perf_counter()
     while True:
         jdir = workdir / f"shard{num_shards}-crash-{boundary}"
         crashed = StreamRuntime(
@@ -244,7 +234,6 @@ def _sweep_sharded(
             sum(info.events_replayed for info in recovered.recovery)
         )
         boundary += 1
-    wall_sweep = time.perf_counter() - start
 
     return {
         "boundaries": boundary,
@@ -254,7 +243,6 @@ def _sweep_sharded(
         "mean_events_replayed": round(sum(replayed) / max(boundary, 1), 3),
         "makespan": ref_metrics.makespan,
         "speedup": ref_metrics.speedup,
-        "wall_sweep_s": wall_sweep,
     }
 
 

@@ -42,15 +42,14 @@ rejections, and the sweep asserts the rejection actually fires.
 
 One predicate, :func:`_cell_failures`, decides every cell: the gate
 check, the report's status column and the summary count all read it.
-Per the repo's determinism policy every gate is equality based;
-wall-clock is recorded for humans only.  The merged artifact is
-``benchmarks/BENCH_matrix.json``.
+Per the repo's determinism policy every gate is equality based, and
+the payload carries no wall clock: perfbench measures the system's time
+from outside.  The merged artifact is ``benchmarks/BENCH_matrix.json``.
 """
 
 from __future__ import annotations
 
 import tempfile
-import time
 from pathlib import Path
 
 from repro.bench.report import signature_hash as _signature_hash
@@ -231,13 +230,6 @@ def _composed(spec: RunSpec):
     return build_runtime(spec).run()
 
 
-def _timed(run, spec: RunSpec):
-    """``run(spec)`` and its wall seconds."""
-    start = time.perf_counter()
-    result = run(spec)
-    return result, time.perf_counter() - start
-
-
 def _counter_list(counters):
     """Per-shard counter tuples compare as lists (JSON-shaped)."""
     return list(counters) if isinstance(counters, tuple) else counters
@@ -271,10 +263,10 @@ def _run_cell(base: RunSpec, mode, shards, journaled, backend, workdir: Path) ->
         cell.update(valid=False, error=type(exc).__name__, reason=str(exc))
         return cell
 
-    legacy, wall_legacy = _timed(_LEGACY[mode], spec)
-    bare, wall_composed = _timed(_composed, spec)
-    (on, wall_telemetry), (on2, _) = [
-        _timed(_composed, spec.replace(
+    legacy = _LEGACY[mode](spec)
+    bare = _composed(spec)
+    on, on2 = [
+        _composed(spec.replace(
             telemetry=True,
             trace_out=str(workdir / f"{tag}-{arm}.jsonl"),
             journal=str(workdir / f"{tag}-{arm}") if journaled else None,
@@ -331,9 +323,6 @@ def _run_cell(base: RunSpec, mode, shards, journaled, backend, workdir: Path) ->
         # the full observable state, not just the plan.
         counters_digest=_signature_hash(counters),
         metrics_digest=None if mode == "plain" else _signature_hash(bare.metrics),
-        wall_legacy_s=wall_legacy,
-        wall_composed_s=wall_composed,
-        wall_telemetry_s=wall_telemetry,
     )
     return cell
 
@@ -442,8 +431,7 @@ def write_report_block(payload: dict, results_dir: Path) -> None:
         "every composable cell byte-identical to its legacy counterpart "
         "(plan, metrics, op counters, qualities, server class) and to its "
         "telemetered runs; masked traces identical across repeat runs; "
-        "journal x plain rejected by typed SpecError; wall-clock "
-        "recorded, never gated"
+        "journal x plain rejected by typed SpecError"
     )
     reporter.header(
         "mode", "shards", "journal", "backend", "status", "plan", "records",

@@ -36,7 +36,7 @@ DEFAULT_RESULTS = Path(__file__).resolve().parents[3] / "benchmarks" / "results"
 #: The suites behind ``python -m repro bench SUITE``.  Each module
 #: ``repro.bench.<suite>suite`` provides ``run_suite(*, smoke)``,
 #: ``check_payload``, ``write_report_block`` and ``summary``.
-SUITES = ("perf", "shard", "par", "journal", "matrix", "degrade", "elastic")
+SUITES = ("perf", "shard", "journal", "matrix", "degrade", "elastic")
 
 
 class Reporter:
@@ -137,7 +137,7 @@ def run_and_write(
     suite: str, *, smoke: bool = False, results_dir: str | os.PathLike | None = None
 ) -> int:
     """Run one of :data:`SUITES` and :func:`publish` it (CI gates on
-    identity and op counts only; wall clock is recorded, never gated)."""
+    identity and op counts only, never on wall clock)."""
     module = importlib.import_module(f"repro.bench.{suite}suite")
     return publish(
         suite,

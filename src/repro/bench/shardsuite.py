@@ -21,12 +21,12 @@ Two scenario families:
   broken out.
 
 Per the repo's determinism policy, CI gates on plan identity and
-op-count invariants only; wall-clock is recorded for humans.
+op-count invariants only.  The payload carries no wall clock: perfbench
+measures the system's time from outside.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -92,11 +92,9 @@ def _run_scenario(scenario: ShardScenario) -> dict:
     # path: shards=1 is the sequential reference, shard rows force the
     # coordinator (the degenerate one-shard row measures exactly it).
     spec = RunSpec(mode="plain")
-    start = time.perf_counter()
     reference = build_serving_solver(spec, built.pool, built.bbox).assign(
         built.tasks
     )
-    reference_wall = time.perf_counter() - start
     reference_sig = reference.plan_signature()
 
     shard_rows: dict[str, dict] = {}
@@ -105,9 +103,7 @@ def _run_scenario(scenario: ShardScenario) -> dict:
             spec.replace(shards=num_shards), built.pool, built.bbox,
             force_sharded=True,
         )
-        start = time.perf_counter()
         report = server.assign(built.tasks)
-        wall = time.perf_counter() - start
         stats = report.shard_map.stats()
         shard_rows[str(num_shards)] = {
             "plan_identical": report.plan_signature() == reference_sig,
@@ -120,7 +116,6 @@ def _run_scenario(scenario: ShardScenario) -> dict:
             "serial_cost": report.serial_cost,
             "speedup": report.speedup,
             "utilization": report.utilization,
-            "wall_s": wall,
             "tasks_per_shard": stats["tasks_per_shard"],
             "halo_workers_per_shard": stats["halo_workers_per_shard"],
             "replicated_workers": stats["replicated_workers"],
@@ -136,7 +131,6 @@ def _run_scenario(scenario: ShardScenario) -> dict:
             "plan_length": len(reference.assignment),
             "serial_cost": reference.serial_cost,
             "signature": _signature_hash(reference_sig),
-            "wall_s": reference_wall,
         },
         "shards": shard_rows,
     }

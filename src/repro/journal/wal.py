@@ -228,7 +228,7 @@ def _unframe(line: bytes) -> dict | None:
         return None
     try:
         payload = json.loads(body)
-    except json.JSONDecodeError:
+    except ValueError:  # bad JSON, or a body that is not UTF-8
         return None
     return payload if isinstance(payload, dict) else None
 

@@ -91,7 +91,8 @@ def read_trace(path: str | Path) -> list[dict]:
 
     A damaged *final* line is tolerated (a crash mid-record, exactly
     like a torn WAL tail); damage anywhere earlier raises
-    :class:`~repro.errors.ConfigurationError`.
+    :class:`~repro.errors.ConfigurationError`, and so does an intact
+    record without a ``str`` ``type`` or an ``int`` ``seq``.
     """
     path = Path(path)
     try:
@@ -108,6 +109,14 @@ def read_trace(path: str | Path) -> list[dict]:
                 break  # torn final record: a crashed run's trace
             raise ConfigurationError(
                 f"{path}: damaged trace record on line {i + 1}"
+            )
+        seq = record.get("seq")
+        if not isinstance(record.get("type"), str) or not (
+            isinstance(seq, int) and not isinstance(seq, bool)
+        ):
+            raise ConfigurationError(
+                f"{path}: trace record on line {i + 1} lacks a str 'type' "
+                "or an int 'seq'"
             )
         records.append(record)
     return records

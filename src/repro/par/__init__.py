@@ -23,8 +23,9 @@ Determinism-across-processes argument (DESIGN.md §14): work units and
 results are JSON strings, so no pickle-dependent representation can
 drift; solves are deterministic functions of decoded state; results
 are merged in shard-id order regardless of completion order.  CI gates
-only that identity — wall-clock speedup is measured and reported by
-``bench par`` but never asserted.
+only that identity — wall-clock speedup is measured from outside the
+program by perfbench's ``par.*`` layer metrics on its
+``stream-sharded-process`` workload, and never asserted.
 """
 
 from repro.par.executor import (

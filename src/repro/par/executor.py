@@ -10,15 +10,14 @@ One :class:`Executor` decides *where* a batch of independent work runs:
   nothing pickle-dependent ever crosses the boundary.
 
 There is no thread kind: the GIL serializes the solvers' bytecode, and
-a thread pool measured 0.38-1.04x against serial on the committed
-``bench par`` cells (DESIGN.md §14).
+a thread pool measured 0.38-1.04x against serial (DESIGN.md §14).
 
 Determinism: :meth:`map_units` always returns results in submission
-order, whatever order the workers finish in.
-
-``persistent=True`` keeps the process pool warm across calls — the
-bench suite sweeps many runs and should pay the fork cost once; the
-one-shot runtime paths use a per-call pool so nothing leaks.
+order, whatever order the workers finish in.  Each call creates and
+shuts down its own pool, so nothing outlives the batch.  A worker that
+dies mid-batch breaks only that pool: units are pure functions of
+their JSON payloads, so the batch runs once more on a fresh pool, and
+a second death raises :class:`~repro.errors.SchedulingError`.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from __future__ import annotations
 import os
 from typing import Callable, Sequence
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SchedulingError
 
 __all__ = [
     "EXECUTOR_KINDS",
@@ -55,13 +54,7 @@ def validate_max_workers(max_workers: int) -> int:
 class Executor:
     """Run independent work units serially or in worker processes."""
 
-    def __init__(
-        self,
-        kind: str = "serial",
-        *,
-        max_workers: int | None = None,
-        persistent: bool = False,
-    ):
+    def __init__(self, kind: str = "serial", *, max_workers: int | None = None):
         if kind not in EXECUTOR_KINDS:
             raise ConfigurationError(
                 f"unknown executor kind {kind!r}; "
@@ -71,15 +64,18 @@ class Executor:
             validate_max_workers(max_workers)
         self.kind = kind
         self.max_workers = max_workers
-        self.persistent = persistent
-        self._pool = None
 
     # ------------------------------------------------------------------
     # Sizing
     # ------------------------------------------------------------------
     def _cap(self) -> int:
-        """Pool width: ``max_workers``, else the host's CPU count."""
-        return self.max_workers or (os.cpu_count() or 1)
+        """Pool width: ``max_workers``, else the CPUs this process may
+        run on (its affinity mask where the platform exposes one)."""
+        if self.max_workers:
+            return self.max_workers
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0)) or 1
+        return os.cpu_count() or 1
 
     # ------------------------------------------------------------------
     # JSON work units (module-level unit functions; process-safe)
@@ -90,7 +86,9 @@ class Executor:
         Results come back in submission order regardless of completion
         order; worker exceptions propagate to the caller.  For the
         ``process`` kind, ``fn`` must be importable at module level
-        (the unit functions of :mod:`repro.par.work`).
+        (the unit functions of :mod:`repro.par.work`).  A pool broken
+        by a dying worker is replaced once; a second break raises
+        :class:`~repro.errors.SchedulingError`.
         """
         payloads = list(payloads)
         if not payloads:
@@ -98,32 +96,19 @@ class Executor:
         if self.kind == "serial":
             return [fn(payload) for payload in payloads]
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
-        if self.persistent:
-            if self._pool is None:
-                # Sized by the cap, not the first batch: a warm pool
-                # outlives many differently-sized sweeps, and a small
-                # first call must not pin its width for the large ones.
-                self._pool = ProcessPoolExecutor(max_workers=self._cap())
-            return list(self._pool.map(fn, payloads))
         width = min(len(payloads), self._cap())
-        with ProcessPoolExecutor(max_workers=width) as pool:
-            return list(pool.map(fn, payloads))
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Shut down a persistent process pool (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __enter__(self) -> "Executor":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
+        for _attempt in range(2):
+            try:
+                with ProcessPoolExecutor(max_workers=width) as pool:
+                    return list(pool.map(fn, payloads))
+            except BrokenProcessPool as exc:
+                broken = exc
+        name = getattr(fn, "__qualname__", repr(fn))
+        raise SchedulingError(
+            f"a worker process died running {name} on two fresh pools"
+        ) from broken
 
 
 def executor_from_spec(spec) -> Executor | None:

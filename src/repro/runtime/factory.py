@@ -37,6 +37,7 @@ from pathlib import Path
 from repro.core.greedy import IndexedSingleTaskGreedy, SingleTaskGreedy
 from repro.core.instrumentation import OpCounters
 from repro.errors import SpecError
+from repro.par.executor import executor_from_spec
 from repro.runtime.spec import RunSpec, SolverVariant
 from repro.workloads.scenario import ScenarioConfig, build_scenario
 from repro.workloads.spatial import Distribution
@@ -141,9 +142,7 @@ class Runtime:
         raise NotImplementedError
 
 
-def build_serving_solver(
-    spec: RunSpec, pool, bbox, *, force_sharded=False, executor=None
-):
+def build_serving_solver(spec: RunSpec, pool, bbox, *, force_sharded=False):
     """The plain-mode serving solver a spec resolves to.
 
     ``shards == 1`` builds the sequential reference; more shards build
@@ -153,20 +152,17 @@ def build_serving_solver(
     sweep shard counts over one pre-built scenario share this
     resolution instead of re-threading the solver kwargs.
 
-    ``executor`` overrides the spec-resolved
-    :class:`~repro.par.executor.Executor` (suites pass one persistent
-    pool across a sweep).  A non-serial executor always builds the
-    coordinator: per-shard work units are the parallel unit, and the
-    one-shard coordinator is plan-identical to the sequential
-    reference by the PR-3 reconciliation proof.
+    A non-serial :class:`~repro.par.executor.Executor` (from
+    ``spec.executor``) always builds the coordinator: per-shard work
+    units are the parallel unit, and the one-shard coordinator is
+    plan-identical to the sequential reference by the PR-3
+    reconciliation proof.
     """
     # Imported here: repro.shard imports the runtime's shared solver
     # builder at module level.
-    from repro.par.executor import executor_from_spec
     from repro.shard.server import SequentialServingSolver, ShardedTCSCServer
 
-    if executor is None:
-        executor = executor_from_spec(spec)
+    executor = executor_from_spec(spec)
     variant = spec.solver_variant
     common = dict(
         k=spec.k, ts=spec.ts,
@@ -338,7 +334,6 @@ class StreamRuntime(Runtime):
         force_sharded: bool = False,
         scenario=None,
         chaos=(),
-        executor=None,
     ):
         super().__init__(spec)
         self._scenario = scenario
@@ -352,17 +347,6 @@ class StreamRuntime(Runtime):
             force_sharded or spec.shards > 1 or spec.executor != "serial"
         )
         self._chaos = tuple(chaos)
-        self._executor = executor
-
-    def _resolve_executor(self):
-        """The run's executor: the injected one (suites share a warm
-        pool across a sweep) or the spec's; ``None`` keeps the legacy
-        serial drain byte-for-byte."""
-        if self._executor is not None:
-            return self._executor
-        from repro.par.executor import executor_from_spec
-
-        return executor_from_spec(self.spec)
 
     def scenario(self):
         """The built (seed-pinned, cached) event trace."""
@@ -480,7 +464,8 @@ class StreamRuntime(Runtime):
                 spec=spec.to_dict(),
             )
             self._telemetry = telemetry
-        executor = self._resolve_executor()
+        # ``None`` keeps the legacy serial drain byte-for-byte.
+        executor = executor_from_spec(spec)
         if executor is not None:
             # Validation already rejected journal/approx/elastic x
             # executor; chaos plans are build-time arguments, so the

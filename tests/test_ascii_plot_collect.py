@@ -104,15 +104,15 @@ class TestCollect:
         assert "fig6a" in (tmp_path / "REPORT.md").read_text()
 
     def test_main_fails_on_missing_registered_artifact(self, tmp_path, capsys):
-        results = _results_with_series(tmp_path, skip=("par", "regress"))
+        results = _results_with_series(tmp_path, skip=("elastic", "regress"))
         assert main([str(results)]) == 1
         err = capsys.readouterr().err
         # REPORT.md is still written, and every missing artifact named.
         assert (tmp_path / "REPORT.md").exists()
-        assert "BENCH_par.json" in err and "BENCH_regress.json" in err
+        assert "BENCH_elastic.json" in err and "BENCH_regress.json" in err
         assert "missing" in err and "BENCH_perf.json" not in err
         # A present (even stale) artifact is not missing.
-        (tmp_path / "BENCH_par.json").write_text('{"series": {}}\n')
+        (tmp_path / "BENCH_elastic.json").write_text('{"series": {}}\n')
         (tmp_path / "BENCH_regress.json").write_text('{"series": {}}\n')
         assert main([str(results)]) == 0
 
@@ -161,7 +161,7 @@ class TestCollect:
         assert set(COLLECTORS) == {
             "BENCH_stream.json", "BENCH_perf.json", "BENCH_shard.json",
             "BENCH_journal.json", "BENCH_matrix.json", "BENCH_degrade.json", "BENCH_elastic.json",
-            "BENCH_regress.json", "BENCH_par.json",
+            "BENCH_regress.json",
         }
         assert list(COLLECTORS.values()) == ["stream", *SUITES, "regress"]
         for name, series in COLLECTORS.items():

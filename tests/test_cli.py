@@ -63,7 +63,9 @@ class TestParser:
         assert (args.suite, args.smoke, args.results_dir) == ("matrix", True, "out")
         # Retired spellings, unknown suites, and the dropped --backend
         # are argparse errors, not aliases.
-        retired = [[f"bench-{suite}"] for suite in SUITES] + [["matrix"]]
+        retired = [[f"bench-{suite}"] for suite in SUITES] + [
+            ["matrix"], ["bench", "par"], ["bench", "obs"],
+        ]
         for argv in retired + [["bench", "nope"], ["bench"],
                                ["bench", "shard", "--backend", "numpy"]]:
             with pytest.raises(SystemExit) as excinfo:
@@ -508,8 +510,7 @@ class TestElasticCLI:
 
 
 class TestBenchCommand:
-    """``bench SUITE`` for the suites no other CLI class drives, and the
-    observability gates that ``bench matrix`` runs on every cell."""
+    """The observability gates that ``bench matrix`` runs on every cell."""
 
     def test_bench_obs_smoke(self, bench_smoke):
         out, payload = bench_smoke("matrix")
@@ -521,12 +522,6 @@ class TestBenchCommand:
             for c in valid
         )
         assert "trace-deterministic" in out
-
-    def test_bench_par_smoke(self, bench_smoke):
-        out, payload = bench_smoke("par")
-        top = str(payload["shard_counts"][-1])
-        assert all(s["shards"][top]["identical"] for s in payload["scenarios"])
-        assert "identical=True" in out
 
 
 class TestTypedErrors:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,10 +12,25 @@ from hypothesis import given, settings, strategies as st
 import repro.journal
 from repro.errors import JournalCorruptionError
 from repro.geo.point import Point
-from repro.journal.wal import Journal, WriteAheadLog, decode_event, encode_event
+from repro.journal.wal import (
+    Journal,
+    WriteAheadLog,
+    decode_event,
+    encode_event,
+    unframe_record,
+)
 from repro.model.task import Task
 from repro.model.worker import Worker
 from repro.stream.events import BudgetRefresh, TaskArrival, WorkerJoin, WorkerLeave
+
+
+def _frame_body(body: bytes) -> bytes:
+    """Frame raw body bytes with a valid checksum, whatever they hold."""
+    return b"%08x %s\n" % (zlib.crc32(body) & 0xFFFFFFFF, body)
+
+
+#: A CRC-valid line whose body is not UTF-8.
+NON_UTF8_LINE = _frame_body(b'{"a":"\xff"}')
 
 
 class TestEventCodec:
@@ -218,6 +234,22 @@ class TestWriteAheadLog:
         records, _, truncated = WriteAheadLog.read(journal.wal_path)
         assert truncated
         assert len(records) == 1
+
+    def test_non_utf8_body_reads_as_damaged(self, tmp_path):
+        """A checksum-valid line that is not UTF-8 is treated exactly
+        like a checksum mismatch: a torn final line, or mid-log damage."""
+        assert unframe_record(NON_UTF8_LINE) is None
+        journal = self._journal(tmp_path)
+        journal.append("epoch", epoch=1, now=5.0)
+        journal.wal.close()
+        lines = journal.wal_path.read_bytes().splitlines(keepends=True)
+        journal.wal_path.write_bytes(b"".join(lines[:-1]) + NON_UTF8_LINE)
+        records, _, truncated = WriteAheadLog.read(journal.wal_path)
+        assert truncated
+        assert len(records) == 1
+        journal.wal_path.write_bytes(b"".join(lines[:-1]) + NON_UTF8_LINE + lines[-1])
+        with pytest.raises(JournalCorruptionError):
+            WriteAheadLog.read(journal.wal_path)
 
     def test_mid_log_damage_raises_typed(self, tmp_path):
         journal = self._journal(tmp_path)

@@ -17,6 +17,7 @@ renders phase timings and latency histograms from the file alone.
 from __future__ import annotations
 
 import dataclasses
+import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,8 +38,14 @@ from repro.obs import (
     masked_trace_bytes,
     read_trace,
 )
+from repro.journal.wal import frame_record
 from repro.obs.report import render_trace_report, summarize
 from repro.runtime import RunSpec, WorkloadSpec, build_runtime
+
+#: A CRC-valid trace line whose body is not UTF-8.
+NON_UTF8_LINE = b"%08x %s\n" % (
+    zlib.crc32(b'{"a":"\xff"}') & 0xFFFFFFFF, b'{"a":"\xff"}'
+)
 
 STREAM_SPEC = RunSpec(
     mode="stream",
@@ -254,6 +261,35 @@ class TestTraceRecorder:
     def test_missing_file_raises_typed(self, tmp_path):
         with pytest.raises(ConfigurationError):
             read_trace(tmp_path / "nope.jsonl")
+
+    def test_non_utf8_record_mid_file_raises_typed(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        recorder = TraceRecorder(path)
+        for i in range(3):
+            recorder.record("solve", task_id=i)
+        recorder.close()
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[1] = NON_UTF8_LINE
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(ConfigurationError, match="line 2"):
+            read_trace(path)
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"a": 1},
+            {"seq": 0},
+            {"type": "solve"},
+            {"type": 3, "seq": 0},
+            {"type": "solve", "seq": True},
+            {"type": "solve", "seq": "0"},
+        ],
+    )
+    def test_record_without_type_or_seq_raises_typed(self, tmp_path, record):
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(frame_record({"type": "open", "seq": 0}) + frame_record(record))
+        with pytest.raises(ConfigurationError, match="line 2"):
+            read_trace(path)
 
     def test_mask_timing_strips_only_timing(self):
         record = {"type": "solve", "seq": 0, "timing": {"wall_s": 1.0},
@@ -530,6 +566,17 @@ class TestCLI:
         assert code == 0
         assert "telemetry report" in capsys.readouterr().out
         assert read_trace(path)[0]["type"] == "open"
+
+    @pytest.mark.parametrize(
+        "line", [NON_UTF8_LINE, frame_record({"a": 1})], ids=["non-utf8", "no-type"]
+    )
+    def test_trace_report_bad_record_exits_2(self, tmp_path, capsys, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(line + frame_record({"type": "open", "seq": 1}))
+        assert main(["trace-report", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "bad.jsonl" in err and "Traceback" not in err
 
     def test_trace_report_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["trace-report", str(tmp_path / "nope.jsonl")]) == 2

@@ -5,21 +5,27 @@ change *where* a shard's solve runs, never what it computes — so most
 of this file compares executor arms against the serial reference:
 plans, per-shard metrics, OpCounters, masked telemetry traces, and
 (via hypothesis) the snapshot-codec round trip across a real process
-boundary.  The rest pins the typed rejection surface: uncomposable
-spec pairings, zero-width pools, and unknown (or retired) executor
-kinds.
+boundary.  Worker death is survived exactly: a unit whose process
+dies on its first attempt reruns on a fresh pool and the run still
+equals the serial one.  The rest pins the typed rejection surface:
+uncomposable spec pairings, zero-width pools, unknown (or retired)
+executor kinds, and a worker that dies on every attempt.
 """
 
 from __future__ import annotations
 
+import json
+import os
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ConfigurationError, SpecError
+from repro.errors import ConfigurationError, SchedulingError, SpecError
 from repro.obs.trace import masked_trace_bytes
 from repro.par import EXECUTOR_KINDS, Executor, executor_from_spec, validate_max_workers
+from repro.par.work import run_plain_unit, run_stream_unit
 from repro.runtime import RunSpec, WorkloadSpec, build_serving_solver
 from repro.runtime.factory import StreamRuntime
 from repro.workloads.scenario import ScenarioConfig, build_scenario
@@ -36,6 +42,47 @@ _STREAM = RunSpec(
     k=2, epoch_length=3.0, budget_fraction=0.6,
     max_active_tasks=4, max_queue_depth=8,
 )
+
+#: Skewed arrivals (the elastic suite's hotspot-drift shape): late
+#: tasks pile onto one region, so one shard's unit carries most work.
+_DRIFT = _STREAM.replace(
+    workload=WorkloadSpec(
+        horizon=12, task_rate=0.6, task_slots=8, initial_workers=16,
+        join_rate=1.0, mean_lifetime=12.0, hotspot_drift=1.0, seed=7,
+    ),
+)
+
+#: The environment variable naming the marker file of the end-to-end
+#: worker-death arms; forked workers inherit it.
+_MARKER_ENV = "REPRO_TEST_DEATH_MARKER"
+
+
+def _die_first(marker: Path) -> None:
+    """Kill this worker process unless ``marker`` exists (creating it):
+    the first unit to run dies, every later attempt proceeds."""
+    if not marker.exists():
+        marker.touch()
+        os._exit(1)
+
+
+def _echo_after_death(payload: str) -> str:
+    unit = json.loads(payload)
+    _die_first(Path(unit["marker"]))
+    return unit["value"]
+
+
+def _always_die(payload: str) -> str:
+    os._exit(1)
+
+
+def _plain_unit_dying_once(payload: str) -> str:
+    _die_first(Path(os.environ[_MARKER_ENV]))
+    return run_plain_unit(payload)
+
+
+def _stream_unit_dying_once(payload: str) -> str:
+    _die_first(Path(os.environ[_MARKER_ENV]))
+    return run_stream_unit(payload)
 
 
 @pytest.fixture(scope="module")
@@ -68,8 +115,26 @@ def _stream_evidence(outcome):
         outcome.plan_signature,
         [c.to_dict() for c in counters],
         [asdict(m) for m in metrics.per_shard],
+        metrics.tasks_routed,
+        metrics.dropped_events,
+        sorted(metrics.worker_routes.items()),
         metrics.makespan,
         metrics.serial_cost,
+    )
+
+
+def _plain_evidence(report):
+    return (
+        report.plan_signature(),
+        report.counters.to_dict(),
+        report.per_task_cost,
+        report.qualities,
+        report.total_cost,
+        report.conflicts,
+        report.reconciled_task_ids,
+        report.revalidated_task_ids,
+        report.messages,
+        report.makespan,
     )
 
 
@@ -86,10 +151,10 @@ class TestExecutor:
 
     @pytest.mark.parametrize("kind", EXECUTOR_KINDS)
     def test_map_units_preserves_order(self, kind):
-        with Executor(kind, max_workers=2) as executor:
-            # len is importable from anywhere, so it survives pickling
-            # into a worker process.
-            assert executor.map_units(len, ["ccc", "bb", "a", ""]) == [3, 2, 1, 0]
+        executor = Executor(kind, max_workers=2)
+        # len is importable from anywhere, so it survives pickling
+        # into a worker process.
+        assert executor.map_units(len, ["ccc", "bb", "a", ""]) == [3, 2, 1, 0]
 
     def test_worker_errors_propagate(self):
         # int is importable anywhere; the bad literal raises inside a
@@ -106,11 +171,36 @@ class TestExecutor:
         )
         assert (executor.kind, executor.max_workers) == ("process", 4)
 
-    def test_close_is_idempotent(self):
-        executor = Executor("process", persistent=True)
-        executor.map_units(len, ["x"])
-        executor.close()
-        executor.close()
+    def test_default_width_is_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False
+        )
+        assert Executor("process")._cap() == 3
+        assert Executor("process", max_workers=5)._cap() == 5
+        # Platforms without an affinity mask fall back to the CPU count.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert Executor("process")._cap() == 64
+
+    def test_worker_death_reruns_on_a_fresh_pool(self, tmp_path):
+        marker = str(tmp_path / "died")
+        payloads = [
+            json.dumps({"marker": marker, "value": value})
+            for value in ("a", "b", "c")
+        ]
+        results = Executor("process", max_workers=2).map_units(
+            _echo_after_death, payloads
+        )
+        assert (tmp_path / "died").exists()  # a worker really died
+        assert results == Executor("serial").map_units(
+            _echo_after_death, payloads
+        )
+
+    def test_repeated_worker_death_is_scheduling_error(self):
+        with pytest.raises(SchedulingError, match="_always_die"):
+            Executor("process", max_workers=2).map_units(
+                _always_die, ["x", "y"]
+            )
 
 
 class TestSpecPairings:
@@ -158,22 +248,54 @@ class TestPlainIdentity:
     def test_byte_identical_to_serial(self, plain_scenario, kind, shards):
         reference = _plain_report(plain_scenario, "serial", shards)
         report = _plain_report(plain_scenario, kind, shards)
-        assert report.plan_signature() == reference.plan_signature()
-        assert report.counters.to_dict() == reference.counters.to_dict()
-        assert report.per_task_cost == reference.per_task_cost
-        assert report.qualities == reference.qualities
-        assert report.reconciled_task_ids == reference.reconciled_task_ids
-        assert report.makespan == reference.makespan
+        assert _plain_evidence(report) == _plain_evidence(reference)
 
 
 class TestStreamIdentity:
-    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            pytest.param(_STREAM.replace(shards=1), id="1"),
+            pytest.param(_STREAM.replace(shards=2), id="2"),
+            pytest.param(_DRIFT.replace(shards=2), id="2-hotspot_drift"),
+        ],
+    )
     @pytest.mark.parametrize("kind", PARALLEL_KINDS)
-    def test_byte_identical_to_serial(self, kind, shards):
-        reference = _stream_outcome(_STREAM.replace(shards=shards))
-        outcome = _stream_outcome(
-            _STREAM.replace(shards=shards, executor=kind)
+    def test_byte_identical_to_serial(self, kind, spec):
+        reference = _stream_outcome(spec)
+        outcome = _stream_outcome(spec.replace(executor=kind))
+        assert _stream_evidence(outcome) == _stream_evidence(reference)
+
+
+class TestWorkerDeath:
+    """A shard unit whose worker dies once still yields the serial run."""
+
+    @pytest.fixture
+    def dying_once(self, tmp_path, monkeypatch):
+        import repro.par.stream
+        import repro.par.work
+
+        marker = tmp_path / "died"
+        monkeypatch.setenv(_MARKER_ENV, str(marker))
+        monkeypatch.setattr(
+            repro.par.work, "run_plain_unit", _plain_unit_dying_once
         )
+        monkeypatch.setattr(
+            repro.par.stream, "run_stream_unit", _stream_unit_dying_once
+        )
+        return marker
+
+    def test_plain_round_survives(self, plain_scenario, dying_once):
+        reference = _plain_report(plain_scenario, "serial", 2)
+        report = _plain_report(plain_scenario, "process", 2)
+        assert dying_once.exists()
+        assert _plain_evidence(report) == _plain_evidence(reference)
+
+    def test_stream_drain_survives(self, dying_once):
+        spec = _STREAM.replace(shards=2)
+        reference = _stream_outcome(spec)
+        outcome = _stream_outcome(spec.replace(executor="process"))
+        assert dying_once.exists()
         assert _stream_evidence(outcome) == _stream_evidence(reference)
 
 

@@ -18,8 +18,10 @@ one declarative :class:`RunSpec` names the workload, solver variant,
 serving mode, sharding, and durability, and
 :func:`~repro.runtime.build_runtime` assembles the stack as layers —
 capability pairings are spec fields, not subclasses, and
-``python -m repro bench matrix`` proves every composition byte-identical to
-the legacy class it replaced.  The *observability subsystem*
+``python -m repro bench matrix`` checks every composition against its
+expected server class and its journal-off and python-backend cells,
+while ``bench-regress`` pins the base compositions against a committed
+ledger.  The *observability subsystem*
 (:mod:`repro.obs`) rides the same layer seam: structured
 deterministic trace records, a metrics registry with exact log2
 percentiles, and phase-attributed profiling — provably free (every

@@ -24,8 +24,9 @@ Nine subcommands cover the common workflows:
   run): ``perf`` (kernel backends x candidate search), ``shard``
   (plan identity at shard counts 1/2/4/8), ``journal``
   (crash/recover at every event boundary),
-  ``matrix`` (composed runtimes byte-identical to the legacy
-  classes, with and without telemetry), ``degrade`` (certificate
+  ``matrix`` (every composition builds its expected server class
+  and equals its journal-off, python-backend and telemetry-off
+  runs), ``degrade`` (certificate
   soundness, overload useful work) and ``elastic`` (migration
   exactness, skew gain).
 * ``bench-regress`` — the continuous op-count regression ledger:

@@ -93,14 +93,6 @@ SKEW_CONTROLLER = dict(queue_high=4, queue_low=1, cooldown=1)
 SKEW_RATIO_GATE = 0.96
 
 
-def _core_identity(server) -> tuple:
-    """The byte-identity triple of one (sharded or elastic) run."""
-    return (
-        server.assignment().plan_signature(),
-        [core.counters for core in server.servers],
-    )
-
-
 def _sweep_executors(num_executors: int) -> dict:
     """Script a migration at every settled boundary of the reference
     run; every scripted run must stay byte-identical to it."""

@@ -1,4 +1,4 @@
-"""Runtime identity matrix: every composition equals the seed stack.
+"""Runtime identity matrix: every composition is the server it names.
 
 ``python -m repro bench matrix`` sweeps the capability grid
 
@@ -6,20 +6,15 @@
                     x backend {python, numpy}
 
 and, for every *composable* cell, runs the same seed-pinned workload
-four ways: through the pre-refactor legacy classes built by hand
-(``SequentialServingSolver`` / ``ShardedTCSCServer`` /
-``StreamingTCSCServer`` / ``ShardedStreamingServer``; a journal-on
-cell's legacy run is the unjournaled class, which the journal on ==
-off gate below makes sound), through the spec-driven factory
-(:func:`repro.runtime.build_runtime`) bare, and twice through the
-factory with telemetry on (separate trace files and journal
-directories).  Every arm runs on every cell.  The per-cell gates:
+three times through the spec-driven factory
+(:func:`repro.runtime.build_runtime`): bare, and twice with telemetry
+on (separate trace files and journal directories).  The per-cell
+gates:
 
-* **composed == legacy** — ``plan_signature()``, ``OpCounters``,
-  ``StreamMetrics`` and per-task qualities byte-identical; the
-  composed server is exactly the legacy class (so ``elastic="off"``
-  composes the plain ``ShardedStreamingServer``), and the outcome
-  carries no certificates (``approx="off"`` is free).
+* **server class** — the composed server is exactly the class
+  :data:`SERVER_CLASSES` names for its (mode, sharded) pair (so
+  ``elastic="off"`` composes the plain ``ShardedStreamingServer``),
+  and the outcome carries no certificates (``approx="off"`` is free).
 * **telemetry-off identity** — the telemetered run's plan, counters
   and metrics equal the bare run's: spans snapshot/diff counters,
   they never increment them.
@@ -33,12 +28,16 @@ directories).  Every arm runs on every cell.  The per-cell gates:
   virtual cost and step list) is bit-identical across the two
   telemetered runs.
 
-Two cross-cell gates ride along: **journal on == off** (plan, op
-counters and stream metrics within one (mode, shards, backend)
-group) and **backend identity** (every cell's plan matches the
-``backend="python"`` cell of its group).  Cells the spec layer
-rejects (journal without stream mode) are recorded as typed
-rejections, and the sweep asserts the rejection actually fires.
+One cross-cell rule rides along: a journal-on cell must equal its
+journal-off cell, and a numpy cell its ``backend="python"`` cell, in
+plan, op counters and stream metrics (:data:`CROSS_CELL_FIELDS`).
+The absolute reference is the regression ledger
+(:mod:`repro.bench.regresssuite`), which pins the plain and stream
+smoke bases at every shard count of the grid; through the cross-cell
+rule every valid smoke cell traces back to a pinned fingerprint.
+Cells the spec layer rejects (journal without stream mode) are
+recorded as typed rejections, and the sweep asserts the rejection
+actually fires.
 
 One predicate, :func:`_cell_failures`, decides every cell: the gate
 check, the report's status column and the summary count all read it.
@@ -57,13 +56,18 @@ from repro.errors import SpecError
 from repro.obs.causal import SpanGraph
 from repro.obs.trace import masked_trace_bytes, read_trace
 from repro.runtime import RunSpec, WorkloadSpec, build_runtime
+from repro.shard.server import SequentialServingSolver, ShardedTCSCServer
+from repro.shard.streaming import ShardedStreamingServer
+from repro.stream.online_server import StreamingTCSCServer
 
 __all__ = [
     "MATRIX_MODES",
     "SHARD_COUNTS",
     "BACKENDS",
     "CELL_GATES",
+    "CROSS_CELL_FIELDS",
     "FULL_BASES",
+    "SERVER_CLASSES",
     "SMOKE_BASES",
     "run_suite",
     "summary",
@@ -109,15 +113,19 @@ SMOKE_BASES = {
     ),
 }
 
+#: The server class the factory must build for each (mode, sharded)
+#: composition: ``elastic="off"`` composes the plain sharded stack and
+#: the journal rides as a layer, never as a subclass.
+SERVER_CLASSES = {
+    ("plain", False): SequentialServingSolver,
+    ("plain", True): ShardedTCSCServer,
+    ("stream", False): StreamingTCSCServer,
+    ("stream", True): ShardedStreamingServer,
+}
+
 #: Per-cell gates: boolean payload fields where ``False`` fails the
-#: cell (``None`` means not applicable — plain cells have no stream
-#: metrics).
+#: cell.
 CELL_GATES = (
-    # Composed == legacy.
-    "plan_identical",
-    "counters_identical",
-    "metrics_identical",
-    "qualities_identical",
     "server_class_identical",
     "no_certificates",
     # Telemetry watches, never touches.
@@ -130,100 +138,9 @@ CELL_GATES = (
     "critical_path_identical",
 )
 
-
-# ----------------------------------------------------------------------
-# Legacy-class counterparts (the pre-refactor construction paths)
-# ----------------------------------------------------------------------
-def _legacy_plain(spec: RunSpec):
-    """The PR-3 classes, constructed by hand as PR-3 code did."""
-    from repro.shard.server import SequentialServingSolver, ShardedTCSCServer
-    from repro.workloads.scenario import ScenarioConfig, build_scenario
-    from repro.workloads.spatial import Distribution
-
-    w = spec.workload
-    built = build_scenario(
-        ScenarioConfig(
-            num_tasks=w.tasks, num_slots=w.slots, num_workers=w.workers,
-            distribution=Distribution(w.distribution), seed=w.seed,
-            k=spec.k, budget_fraction=spec.budget_fraction,
-        )
-    )
-    common = dict(
-        k=spec.k, ts=spec.ts,
-        engine="indexed" if spec.use_index else "greedy",
-        search=spec.search, backend=spec.backend,
-    )
-    if spec.shards == 1:
-        solver = SequentialServingSolver(built.pool, built.bbox, **common)
-    else:
-        solver = ShardedTCSCServer(
-            built.pool, built.bbox, num_shards=spec.shards,
-            halo=spec.halo, cells_per_side=spec.cells_per_side, **common,
-        )
-    report = solver.assign(built.tasks, budget_fraction=spec.budget_fraction)
-    return {
-        "plan": report.plan_signature(),
-        "counters": report.counters,
-        "metrics": None,
-        "qualities": dict(report.qualities),
-        "server": solver,
-    }
-
-
-def _legacy_stream(spec: RunSpec):
-    """The streaming and sharded-streaming classes, built by hand.
-
-    A journal-on spec gets the plain (unjournaled) legacy class: the
-    journal on == off gate already requires journal-on == journal-off
-    within one (mode, shards, backend) group, so the unjournaled run
-    is the reference for both.
-    """
-    from repro.shard.streaming import ShardedStreamingServer
-    from repro.stream.online_server import StreamingTCSCServer
-    from repro.workloads.spatial import Distribution
-    from repro.workloads.streaming import StreamScenarioConfig, build_stream_events
-
-    w = spec.workload
-    built = build_stream_events(
-        StreamScenarioConfig(
-            horizon=w.horizon, task_rate=w.task_rate, burstiness=w.burstiness,
-            task_slots=w.task_slots, initial_workers=w.initial_workers,
-            worker_join_rate=w.join_rate, mean_worker_lifetime=w.mean_lifetime,
-            early_leave_prob=w.early_leave_prob,
-            distribution=Distribution(w.distribution), seed=w.seed,
-        )
-    )
-    kwargs = dict(
-        k=spec.k, ts=spec.ts, epoch_length=spec.epoch_length,
-        index_mode=spec.index_mode, budget_fraction=spec.budget_fraction,
-        max_active_tasks=spec.max_active_tasks,
-        max_queue_depth=spec.max_queue_depth, pool_budget=spec.pool_budget,
-        realization_seed=w.seed, backend=spec.backend,
-    )
-    if spec.shards == 1:
-        server = StreamingTCSCServer(built.bbox, **kwargs)
-    else:
-        server = ShardedStreamingServer(
-            built.bbox, num_shards=spec.shards,
-            cells_per_side=spec.cells_per_side, halo_margin=spec.halo,
-            **kwargs,
-        )
-    metrics = server.run(list(built.events))
-    counters = (
-        tuple(s.counters for s in server.servers)
-        if spec.shards > 1
-        else server.counters
-    )
-    return {
-        "plan": server.assignment().plan_signature(),
-        "counters": counters,
-        "metrics": metrics,
-        "qualities": dict(metrics.promised_quality),
-        "server": server,
-    }
-
-
-_LEGACY = {"plain": _legacy_plain, "stream": _legacy_stream}
+#: The fingerprint a cell must share with its reference cells (the
+#: cross-cell rule): plan, op counters and stream metrics.
+CROSS_CELL_FIELDS = ("signature", "counters_digest", "metrics_digest")
 
 
 def _composed(spec: RunSpec):
@@ -263,7 +180,6 @@ def _run_cell(base: RunSpec, mode, shards, journaled, backend, workdir: Path) ->
         cell.update(valid=False, error=type(exc).__name__, reason=str(exc))
         return cell
 
-    legacy = _LEGACY[mode](spec)
     bare = _composed(spec)
     on, on2 = [
         _composed(spec.replace(
@@ -282,15 +198,10 @@ def _run_cell(base: RunSpec, mode, shards, journaled, backend, workdir: Path) ->
     counters = _counter_list(bare.counters)
     cell.update(
         valid=True,
-        # Composed == legacy.
-        plan_identical=bare.plan_signature == legacy["plan"],
-        counters_identical=counters == _counter_list(legacy["counters"]),
-        metrics_identical=(
-            None if mode == "plain" else bare.metrics == legacy["metrics"]
-        ),
-        qualities_identical=bare.qualities == legacy["qualities"],
         server_class=type(bare.server).__name__,
-        server_class_identical=type(bare.server) is type(legacy["server"]),
+        server_class_identical=(
+            type(bare.server) is SERVER_CLASSES[mode, shards > 1]
+        ),
         no_certificates=bare.certificates is None,
         # Telemetry-off identity (the zero-overhead contract).
         telemetry_identical=(
@@ -319,8 +230,8 @@ def _run_cell(base: RunSpec, mode, shards, journaled, backend, workdir: Path) ->
         masked_trace_digest=_signature_hash(masked[0]),
         plan_length=len(bare.plan_signature),
         signature=_signature_hash(bare.plan_signature),
-        # Fingerprints for the cross-cell gates (journal on == off):
-        # the full observable state, not just the plan.
+        # Fingerprints for the cross-cell rule: the full observable
+        # state, not just the plan.
         counters_digest=_signature_hash(counters),
         metrics_digest=None if mode == "plain" else _signature_hash(bare.metrics),
     )
@@ -365,7 +276,7 @@ def _cell_failures(cell: dict, by_key: dict) -> list[str]:
     """Every gate ``cell`` fails; empty means the cell is clean.
 
     ``by_key`` indexes the payload's cells by :func:`_key`, for the
-    cross-cell gates.
+    cross-cell rule.
     """
     name = (f"{cell['mode']}/shards={cell['shards']}/"
             f"journal={'on' if cell['journal'] else 'off'}/{cell['backend']}")
@@ -382,20 +293,21 @@ def _cell_failures(cell: dict, by_key: dict) -> list[str]:
                 "but the cell ran"]
     failures = [f"{name}: {gate} is False" for gate in CELL_GATES
                 if cell[gate] is False]
-    if cell["journal"]:
-        off = by_key.get(_key(cell, journal=False))
-        if off and off["valid"]:
+    expected = SERVER_CLASSES[cell["mode"], cell["shards"] > 1].__name__
+    if cell["server_class"] != expected:
+        failures.append(
+            f"{name}: built {cell['server_class']}, expected {expected}"
+        )
+    # The cross-cell rule (a reference cell is trivially its own).
+    for label, change in (("journal-off", {"journal": False}),
+                          ("python", {"backend": "python"})):
+        ref = by_key.get(_key(cell, **change))
+        if ref and ref["valid"]:
             failures += [
-                f"{name}: journaled {field} diverged from the unjournaled run"
-                for field in ("signature", "counters_digest", "metrics_digest")
-                if cell[field] != off[field]
+                f"{name}: {field} diverged from the {label} cell"
+                for field in CROSS_CELL_FIELDS
+                if cell[field] != ref[field]
             ]
-    if cell["backend"] != "python":
-        ref = by_key.get(_key(cell, backend="python"))
-        if ref and ref["valid"] and cell["signature"] != ref["signature"]:
-            failures.append(
-                f"{name}: {cell['backend']} plan diverged from the python plan"
-            )
     return failures
 
 
@@ -408,8 +320,9 @@ def _judged(payload: dict) -> list[tuple[dict, list[str]]]:
 def check_payload(payload: dict) -> list[str]:
     """Deterministic gates; returns a list of failure strings.
 
-    Every valid cell must pass :data:`CELL_GATES`, journal on == off
-    and backend identity; every invalid cell must be a journal x plain
+    Every valid cell must pass :data:`CELL_GATES`, build its
+    :data:`SERVER_CLASSES` class and equal its journal-off and python
+    cells in :data:`CROSS_CELL_FIELDS`; every invalid cell must be a journal x plain
     pairing rejected with ``SpecError`` (nothing else may be skipped —
     silent truncation would read as full coverage).  Wall-clock is
     deliberately unchecked (determinism policy).
@@ -423,15 +336,15 @@ def write_report_block(payload: dict, results_dir: Path) -> None:
 
     reporter = Reporter(
         "matrix1",
-        "Runtime matrix: composed (spec-driven) vs legacy-class serving, "
-        "with and without telemetry",
+        "Runtime matrix: spec-driven compositions, with and without "
+        "telemetry",
         results_dir=results_dir,
     )
     reporter.note(
-        "every composable cell byte-identical to its legacy counterpart "
-        "(plan, metrics, op counters, qualities, server class) and to its "
-        "telemetered runs; masked traces identical across repeat runs; "
-        "journal x plain rejected by typed SpecError"
+        "every composable cell builds its expected server class, equals "
+        "its telemetered runs and its journal-off and python cells (plan, "
+        "op counters, metrics); masked traces identical across repeat "
+        "runs; journal x plain rejected by typed SpecError"
     )
     reporter.header(
         "mode", "shards", "journal", "backend", "status", "plan", "records",
@@ -462,8 +375,9 @@ def summary(payload: dict) -> list[str]:
     valid = [failures for cell, failures in judged if cell["valid"]]
     rejected = [failures for cell, failures in judged if not cell["valid"]]
     return [
-        f"matrix: {valid.count([])}/{len(valid)} composable cells "
-        "byte-identical to the legacy path, telemetry-off identical and "
-        f"trace-deterministic, {rejected.count([])}/{len(rejected)} "
+        f"matrix: {valid.count([])}/{len(valid)} composable cells clean "
+        "(expected server class, telemetry-off identical, "
+        "trace-deterministic, equal to their journal-off and python "
+        f"cells), {rejected.count([])}/{len(rejected)} "
         "uncomposable cells rejected with typed SpecError"
     ]

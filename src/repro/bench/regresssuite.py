@@ -1,9 +1,10 @@
 """Continuous op-count regression ledger: ``python -m repro bench-regress``.
 
-Every other suite gates *relative* invariants (composed == legacy,
-telemetered == bare, recovered == uninterrupted); none pins the
-**absolute** cost of a run, so a PR that inflates every arm equally
-sails through.  This suite fingerprints a pinned set of smoke cells —
+Every other suite gates *relative* invariants (telemetered == bare,
+journaled == unjournaled, recovered == uninterrupted); none pins the
+**absolute** cost of a run, so a change that inflates every arm
+equally sails through.  This suite is the oracle the others lean on:
+it fingerprints a pinned set of smoke cells —
 plan hash, full per-shard OpCounters, trace record tallies, and the
 causal critical path in virtual-cost units
 (:func:`repro.obs.regress.fingerprint_outcome`) — and compares them
@@ -62,7 +63,9 @@ __all__ = [
 #: The matrix suite's smoke workloads with telemetry on, so the ledger
 #: pins the same runs CI already exercises — small enough for every
 #: PR, rich enough to cover plain/sharded/journaled/degraded/elastic
-#: arms.
+#: arms.  Both bases are pinned at every shard count of the matrix
+#: grid, so each matrix cell reaches a pinned fingerprint through its
+#: cross-cell rule (journal-off and python cells).
 _PLAIN = SMOKE_BASES["plain"].replace(telemetry=True)
 _STREAM = SMOKE_BASES["stream"].replace(telemetry=True)
 
@@ -72,8 +75,10 @@ _STREAM = SMOKE_BASES["stream"].replace(telemetry=True)
 REGRESS_CELLS: dict[str, dict] = {
     "plain-s1": {"spec": _PLAIN},
     "plain-s2": {"spec": _PLAIN.replace(shards=2)},
+    "plain-s4": {"spec": _PLAIN.replace(shards=4)},
     "stream-s1": {"spec": _STREAM},
     "stream-s2": {"spec": _STREAM.replace(shards=2)},
+    "stream-s4": {"spec": _STREAM.replace(shards=4)},
     # The process-executor smoke cell: same workload as stream-s2 but
     # with phase solves in worker processes.  Its baseline must stay
     # byte-identical to stream-s2's (executor invariance is also

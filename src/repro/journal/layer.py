@@ -27,7 +27,12 @@ from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.errors import ConfigurationError, JournalReplayError, TCSCError
+from repro.errors import (
+    ConfigurationError,
+    JournalCorruptionError,
+    JournalReplayError,
+    TCSCError,
+)
 from repro.geo.bbox import BoundingBox
 from repro.journal.snapshot import restore_server_state, server_state
 from repro.journal.wal import Journal, decode_event, encode_event
@@ -111,6 +116,13 @@ def stream_server_config(
         "snapshot_every": snapshot_every,
         "server_kwargs": dict(server_kwargs),
     }
+
+
+#: The ``state`` fields :meth:`JournalLayer._write_snapshot` writes.
+_SNAPSHOT_STATE_KEYS = frozenset({
+    "clock", "pool", "workers", "departed", "consumed", "pending", "active",
+    "finished", "counters", "metrics", "events_consumed", "final",
+})
 
 
 class JournalLayer(ServingLayer):
@@ -303,8 +315,7 @@ class JournalLayer(ServingLayer):
         journal = self.journal
         snapshot = journal.latest_snapshot()
         if snapshot is not None:
-            restore_server_state(self._server, snapshot["state"])
-            self._events_consumed = snapshot["state"]["events_consumed"]
+            self._restore_snapshot(snapshot)
             cursor = [r for r in records[1:] if r["seq"] > snapshot["wal_seq"]]
         else:
             cursor = records[1:]
@@ -337,6 +348,42 @@ class JournalLayer(ServingLayer):
             wal_truncated=truncated,
         )
         return self.recovery
+
+    def _restore_snapshot(self, snapshot: dict) -> None:
+        """Restore the bound server from a snapshot payload.
+
+        A valid CRC only proves the bytes are the ones written, not
+        that they hold a snapshot: a malformed payload is
+        :class:`~repro.errors.JournalCorruptionError`, never a raw
+        ``KeyError`` from deep inside the codec.
+        """
+        where = f"{self.journal.root}: snapshot"
+        state = snapshot["state"]
+        if type(state) is not dict:
+            raise JournalCorruptionError(
+                f"{where} state is a {type(state).__name__}, not an object"
+            )
+        if state.keys() != _SNAPSHOT_STATE_KEYS:
+            raise JournalCorruptionError(
+                f"{where} state: missing "
+                f"{sorted(_SNAPSHOT_STATE_KEYS - state.keys())}, unexpected "
+                f"{sorted(state.keys() - _SNAPSHOT_STATE_KEYS)}"
+            )
+        for name, value in (
+            ("wal_seq", snapshot["wal_seq"]),
+            ("events_consumed", state["events_consumed"]),
+        ):
+            if type(value) is not int:
+                raise JournalCorruptionError(f"{where}: {name}={value!r}")
+        try:
+            restore_server_state(self._server, state)
+        except (
+            AttributeError, KeyError, TypeError, ValueError, ConfigurationError
+        ) as exc:
+            raise JournalCorruptionError(
+                f"{where} does not restore: {type(exc).__name__}: {exc}"
+            ) from exc
+        self._events_consumed = state["events_consumed"]
 
     @property
     def replayed_event_count(self) -> int:

@@ -20,12 +20,9 @@ fingerprints a pinned set of smoke cells and compares them against the
 **committed baselines** under ``benchmarks/baselines/`` — one JSON
 file per cell, reviewed in diffs like any other source change.
 
-Exactness policy: every field is compared **exactly** by default —
-op counts are deterministic, so any drift is a real behaviour change.
-A per-field relative tolerance may be declared for a comparison
-(``tolerances={"critical_path.total": 0.05}``) when a suite
-deliberately accepts bounded movement; nothing in the repo uses one
-yet, and wall-clock never appears in a fingerprint at all.
+Exactness policy: every field is compared **exactly** — op counts
+and virtual costs are deterministic, so any drift is a real behaviour
+change, and wall-clock never appears in a fingerprint at all.
 ``--update`` regenerates the files (the PR diff then *shows* the cost
 change); ``--check`` makes CI fail on any unexplained drift.
 """
@@ -127,18 +124,12 @@ def _flatten(value, prefix: str, out: dict) -> None:
         out[prefix] = value
 
 
-def compare_fingerprints(
-    baseline: dict, current: dict, *, tolerances: dict | None = None
-) -> list[str]:
+def compare_fingerprints(baseline: dict, current: dict) -> list[str]:
     """Field-by-field drift between two fingerprints.
 
-    Returns human-readable drift strings (empty = identical under the
-    policy).  ``tolerances`` maps a flattened field path *prefix* to a
-    relative tolerance; any numeric field under that prefix passes if
-    ``|current - baseline| <= tol * max(|baseline|, 1)``.  Everything
-    else must match exactly.
+    Returns human-readable drift strings (empty = identical); every
+    field must match exactly.
     """
-    tolerances = tolerances or {}
     flat_base: dict = {}
     flat_cur: dict = {}
     _flatten(baseline, "", flat_base)
@@ -147,30 +138,10 @@ def compare_fingerprints(
     for path in sorted(set(flat_base) | set(flat_cur)):
         if path not in flat_base:
             drifts.append(f"{path}: not in baseline (now {flat_cur[path]!r})")
-            continue
-        if path not in flat_cur:
+        elif path not in flat_cur:
             drifts.append(f"{path}: vanished (was {flat_base[path]!r})")
-            continue
-        base, cur = flat_base[path], flat_cur[path]
-        if base == cur:
-            continue
-        tol = next(
-            (
-                tolerances[prefix]
-                for prefix in tolerances
-                if path == prefix or path.startswith(prefix + ".")
-                or path.startswith(prefix + "[")
-            ),
-            None,
-        )
-        if (
-            tol is not None
-            and isinstance(base, (int, float))
-            and isinstance(cur, (int, float))
-            and abs(cur - base) <= tol * max(abs(base), 1.0)
-        ):
-            continue
-        drifts.append(f"{path}: {base!r} -> {cur!r}")
+        elif flat_base[path] != flat_cur[path]:
+            drifts.append(f"{path}: {flat_base[path]!r} -> {flat_cur[path]!r}")
     return drifts
 
 

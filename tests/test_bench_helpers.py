@@ -12,6 +12,7 @@ from repro.bench.baselines import random_multi_assignment
 from repro.bench.collect import collect_series
 from repro.bench.matrixsuite import (
     CELL_GATES,
+    CROSS_CELL_FIELDS,
     check_payload,
     summary,
     write_report_block,
@@ -206,7 +207,8 @@ def _clean_matrix_payload():
     """A one-cell matrix payload that passes every gate."""
     cell = {
         "mode": "stream", "shards": 2, "journal": False, "backend": "python",
-        "valid": True, "plan_length": 3, "records": 9,
+        "valid": True, "server_class": "ShardedStreamingServer",
+        "plan_length": 3, "records": 9,
         "masked_trace_digest": "t", "signature": "s",
         "counters_digest": "c", "metrics_digest": "m",
     }
@@ -239,3 +241,28 @@ class TestMatrixGatePredicate:
         ]
         assert "| DIVERGED |" in block and "identical |" not in block
         assert "0/1 composable cells" in line
+
+    def test_wrong_server_class_fails(self):
+        """The class is judged against the table, not only the
+        recorded boolean."""
+        payload = _clean_matrix_payload()
+        payload["cells"][0]["server_class"] = "StreamingTCSCServer"
+        assert check_payload(payload) == [
+            "stream/shards=2/journal=off/python: built StreamingTCSCServer, "
+            "expected ShardedStreamingServer"
+        ]
+
+    @pytest.mark.parametrize("field", CROSS_CELL_FIELDS)
+    @pytest.mark.parametrize("change", [{"journal": True}, {"backend": "numpy"}],
+                             ids=["journal-on", "numpy"])
+    def test_cross_cell_rule(self, field, change):
+        """A journal-on cell must equal its journal-off cell, and a numpy
+        cell its python cell, in plan, counters and metrics."""
+        reference = _clean_matrix_payload()["cells"][0]
+        cell = {**reference, **change, field: "drifted"}
+        label = "journal-off" if "journal" in change else "python"
+        name = ("stream/shards=2/journal=on/python" if "journal" in change
+                else "stream/shards=2/journal=off/numpy")
+        assert check_payload({"cells": [reference, cell]}) == [
+            f"{name}: {field} diverged from the {label} cell"
+        ]

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from repro.__main__ import build_parser, main
+from repro.bench.matrixsuite import SERVER_CLASSES
 from repro.bench.report import SUITES
 from repro.runtime import RunSpec, WorkloadSpec
 
@@ -306,20 +307,27 @@ class TestRunCommand:
 
     def test_matrix_smoke(self, bench_smoke):
         out, payload = bench_smoke("matrix")
-        assert "byte-identical to the legacy path" in out
+        assert "6/6 composable cells clean" in out
         valid = [c for c in payload["cells"] if c["valid"]]
+        # Every valid cell builds the server class the table names for
+        # its (mode, sharded) pair; elastic="off" composes the plain
+        # sharded stack and the journal is a layer, not a subclass.
+        expected = {
+            ("plain", False): "SequentialServingSolver",
+            ("plain", True): "ShardedTCSCServer",
+            ("stream", False): "StreamingTCSCServer",
+            ("stream", True): "ShardedStreamingServer",
+        }
+        assert {k: v.__name__ for k, v in SERVER_CLASSES.items()} == expected
         assert valid and all(
-            c["plan_identical"] and c["counters_identical"] for c in valid
+            c["server_class"] == expected[c["mode"], c["shards"] > 1]
+            and c["server_class_identical"]
+            for c in valid
         )
         rejected = [c for c in payload["cells"] if not c["valid"]]
         assert rejected and all(c["error"] == "SpecError" for c in rejected)
         # approx="off" is free: exact runs carry no certificates.
         assert all(c["no_certificates"] for c in valid)
-        # elastic="off" composes exactly the plain sharded stack.
-        sharded = [c for c in valid if c["mode"] == "stream" and c["shards"] > 1]
-        assert sharded and all(
-            c["server_class"] == "ShardedStreamingServer" for c in sharded
-        )
 
 
 class TestJournalCLI:
@@ -398,6 +406,38 @@ class TestJournalCLI:
     def test_resume_missing_journal_is_guided(self, tmp_path, capsys):
         assert main(self.SIM + ["--journal", str(tmp_path / "nope"), "--resume"]) == 2
         assert "no journal found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda state: state.pop("clock"), "missing ['clock']"),
+            # The CLI runs without a budget pool, so the codec meets None.
+            (lambda state: state.update(pool={"remaining": 1.0,
+                                              "refreshed": 0.0}),
+             "AttributeError"),
+        ],
+        ids=["missing-key", "pool-without-budget"],
+    )
+    def test_malformed_snapshot_resume_exits_2(
+        self, tmp_path, capsys, damage, message
+    ):
+        """A CRC-valid snapshot of the wrong shape exits 2 with one
+        typed line, not a KeyError/AttributeError traceback."""
+        from repro.journal.wal import Journal, frame_record, unframe_record
+
+        jdir = tmp_path / "bad"
+        sim = ["simulate", "--seed", "7", "--horizon", "20", "--task-slots",
+               "8", "--initial-workers", "10", "--join-rate", "0.3",
+               "--journal", str(jdir)]
+        assert main(sim + ["--crash-at", "40"]) == 0
+        path = Journal(jdir).snapshot_paths()[-1]
+        payload = unframe_record(path.read_bytes())
+        damage(payload["state"])
+        path.write_bytes(frame_record(payload))
+        capsys.readouterr()
+        assert main(sim + ["--resume"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and message in err[0]
 
     def test_double_fault_crash_during_resume_then_final_resume(self, tmp_path, capsys):
         """--crash-at stays armed on --resume: crash, recover, crash

@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from repro.errors import JournalReplayError
+from repro.errors import JournalCorruptionError, JournalReplayError
 from repro.journal.layer import (
     CrashBudget,
     InjectedCrash,
@@ -27,7 +27,7 @@ from repro.journal.sharded import (
     resume_sharded,
     sharded_journaled_server,
 )
-from repro.journal.wal import Journal, WriteAheadLog, _frame
+from repro.journal.wal import Journal, WriteAheadLog, _frame, unframe_record
 from repro.shard.streaming import ShardedStreamingServer
 from repro.stream.online_server import StreamingTCSCServer
 from repro.workloads.streaming import StreamScenarioConfig, build_stream_events
@@ -240,6 +240,29 @@ class TestPlainRecovery:
         recovered = recover_server(jdir)
         with pytest.raises(JournalReplayError):
             _resume(recovered, list(trace.events))
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda payload: payload["state"].pop("clock"),
+            lambda payload: payload.update(wal_seq=float(payload["wal_seq"])),
+            lambda payload: payload.update(state=[payload["state"]]),
+            lambda payload: payload["state"].update(events_consumed=True),
+            lambda payload: payload["state"].update(pool=5),
+        ],
+        ids=["missing-key", "float-wal-seq", "state-not-dict",
+             "bool-events-consumed", "restore-fails"],
+    )
+    def test_malformed_snapshot_raises_typed(self, trace, tmp_path, damage):
+        """A CRC-valid snapshot of the wrong shape is journal
+        corruption, not a raw KeyError/TypeError from the state codec."""
+        jdir = _crash_at(trace, tmp_path, len(trace.events) - 1, "python")
+        path = Journal(jdir).snapshot_paths()[-1]
+        payload = unframe_record(path.read_bytes())
+        damage(payload)
+        path.write_bytes(_frame(payload))
+        with pytest.raises(JournalCorruptionError):
+            recover_server(jdir)
 
 
 class TestShardedRecovery:

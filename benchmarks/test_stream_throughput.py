@@ -3,15 +3,13 @@
 Not a paper figure — the paper has no online mode.  This drives the
 same churnful event trace through both index-maintenance policies of
 :class:`~repro.stream.online_server.StreamingTCSCServer` and records
-events/sec plus the index work counters.  Beyond the human-readable
-``stream1.txt`` block, the series lands in ``stream1.json`` so
-``python -m repro.bench.collect`` can fold it into the machine-readable
-``BENCH_stream.json`` perf trajectory.
+events/sec plus the index work counters in the ``stream1.txt`` block.
+The block is report-only: the repo's one wall-clock instrument is
+``perfbench/`` (its ``stream-churn`` workload).
 """
 
 from __future__ import annotations
 
-import json
 import time
 
 from repro.bench import Reporter
@@ -77,30 +75,8 @@ def test_stream1_incremental_vs_rebuild(run_once):
         f"identical plans; wall-clock speedup {speedup:.2f}x, "
         f"index builds {inc[3]} vs {reb[3]}"
     )
-
-    payload = {
-        "trace": {
-            "events": len(scenario.events),
-            "tasks": scenario.task_count,
-            "workers": scenario.worker_count,
-            "horizon": scenario.config.horizon,
-        },
-        "incremental": {
-            "time_s": inc[1],
-            "events_per_sec": inc[2],
-            "index_full_builds": inc[3],
-            "tree_node_updates": inc[4],
-        },
-        "rebuild": {
-            "time_s": reb[1],
-            "events_per_sec": reb[2],
-            "index_full_builds": reb[3],
-            "tree_node_updates": reb[4],
-        },
-        "incremental_vs_rebuild_speedup": speedup,
-    }
-    reporter.results_dir.mkdir(parents=True, exist_ok=True)
-    (reporter.results_dir / "stream1.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    reporter.note(
+        f"trace: {len(scenario.events)} events, {scenario.task_count} tasks, "
+        f"{scenario.worker_count} workers, horizon {scenario.config.horizon}"
     )
     reporter.close()

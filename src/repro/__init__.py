@@ -160,7 +160,7 @@ from repro.multi.grouping import GroupLevelParallelSolver
 from repro.multi.mmqm import MinQualityGreedy
 from repro.multi.msqm import SumQualityGreedy
 from repro.multi.result import MultiSolverResult, MultiStep
-from repro.multi.scheduler import TaskLevelParallelSolver, ThreadedTaskLevelSolver
+from repro.multi.scheduler import TaskLevelParallelSolver
 from repro.shard.partitioner import SpatialPartitioner
 from repro.shard.server import (
     SequentialServingSolver,
@@ -264,7 +264,6 @@ __all__ = [
     "TelemetryLayer",
     "TemporalQualityEvaluator",
     "TraceRecorder",
-    "ThreadedTaskLevelSolver",
     "TreeIndex",
     "VirtualClock",
     "VoronoiCell",

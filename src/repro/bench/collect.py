@@ -1,28 +1,25 @@
-"""Consolidate persisted benchmark series into one report.
+"""Consolidate the benchmark report blocks into one ``REPORT.md``.
 
 ``python -m repro.bench.collect`` reads every ``benchmarks/results/
-*.txt`` block written by the figure benches, orders them by figure id,
-and emits a single ``REPORT.md`` — the artifact to skim after a full
-``pytest benchmarks/ --benchmark-only`` run.
+*.txt`` block written by the figure benches and the suites, orders
+them by figure id, and emits a single ``REPORT.md`` — the artifact to
+skim after a full ``pytest benchmarks/ --benchmark-only`` run.
+``REPORT.md`` is the only file it writes.
 
-Machine-readable series are merged per name into ``BENCH_*.json``
-records next to the results directory: every ``<name>*.json`` series
-becomes ``BENCH_<name>.json``, for the names in :data:`COLLECTORS` —
-``stream`` (events/sec and incremental-vs-rebuild speedups, written by
-``benchmarks/test_stream_throughput.py``), every suite of
-:data:`repro.bench.report.SUITES` (``python -m repro bench SUITE``),
-and ``regress`` (op-count fingerprints vs the committed
-``benchmarks/baselines/`` ledger, ``python -m repro bench-regress``).
+The machine-readable artifacts are indexed, not rewritten: each suite
+of :data:`repro.bench.report.SUITES` (``python -m repro bench SUITE``)
+and the regression ledger (``python -m repro bench-regress``) writes
+its own ``BENCH_<name>.json`` next to the results directory, and that
+run is the file's only writer.
 
 The report also carries a **regression-ledger status** section:
 cells checked, drift detected, and how stale each committed baseline
 is (by the git commit stamped into its ``meta``).
 
-``BENCH_*.json`` files next to the results directory that no
-registered collector produces are *warned about* rather than silently
-skipped — a stale or hand-dropped artifact would otherwise rot
-unnoticed while looking authoritative.  A registered artifact that is
-neither present nor regenerable from its series fails :func:`main`
+``BENCH_*.json`` files next to the results directory that no suite
+writes are *warned about* rather than silently skipped — a stale or
+hand-dropped artifact would otherwise rot unnoticed while looking
+authoritative.  A listed artifact that is missing fails :func:`main`
 (after ``REPORT.md`` is written): docs and CI link every one of them.
 """
 
@@ -36,12 +33,14 @@ from pathlib import Path
 from repro.bench.report import DEFAULT_RESULTS, SUITES
 
 __all__ = [
-    "COLLECTORS",
+    "ARTIFACTS",
     "collect",
-    "collect_series",
     "unrecognized_artifacts",
     "main",
 ]
+
+#: The suites that write a ``BENCH_<name>.json`` artifact.
+ARTIFACTS = (*SUITES, "regress")
 
 
 def _sort_key(path: Path) -> tuple:
@@ -57,83 +56,47 @@ def _sort_key(path: Path) -> tuple:
 
 def _generated_by(name: str) -> str:
     """The command that regenerates ``BENCH_<name>.json``."""
-    if name in SUITES:
-        return f"python -m repro bench {name}"
     if name == "regress":
         return "python -m repro bench-regress"
-    return "python -m repro.bench.collect"
-
-
-def collect_series(name: str, results_dir: Path | str = DEFAULT_RESULTS) -> dict | None:
-    """Merge every ``<name>*.json`` series under ``results_dir``.
-
-    Returns ``None`` when no series exist yet; otherwise the
-    ``BENCH_<name>.json`` record: ``{"generated_by", "series":
-    {series_name: payload}}``.
-    """
-    series: dict[str, dict] = {}
-    for path in sorted(Path(results_dir).glob(f"{name}*.json")):
-        try:
-            series[path.stem] = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"skipping unreadable {path}: {exc}", file=sys.stderr)
-    if not series:
-        return None
-    return {"generated_by": _generated_by(name), "series": series}
-
-
-#: Artifact name -> series name.  Every ``BENCH_*.json`` the repo
-#: produces is registered here; ``main`` regenerates each one, fails
-#: on any that is missing, and warns about artifacts no entry owns.
-COLLECTORS: dict[str, str] = {
-    f"BENCH_{name}.json": name for name in ("stream", *SUITES, "regress")
-}
+    return f"python -m repro bench {name}"
 
 
 def unrecognized_artifacts(bench_dir: Path | str) -> list[str]:
-    """``BENCH_*.json`` files no registered collector produces."""
-    bench_dir = Path(bench_dir)
+    """``BENCH_*.json`` files no suite of :data:`ARTIFACTS` writes."""
+    known = {f"BENCH_{name}.json" for name in ARTIFACTS}
     return sorted(
         path.name
-        for path in bench_dir.glob("BENCH_*.json")
-        if path.name not in COLLECTORS
+        for path in Path(bench_dir).glob("BENCH_*.json")
+        if path.name not in known
     )
 
 
 def _artifact_section(bench_dir: Path) -> str:
     """Markdown block indexing the machine-readable ``BENCH_*.json``
-    artifacts (series counts, provenance, unrecognized warnings)."""
+    artifacts (regenerate command, unrecognized warnings)."""
     lines = ["## Machine-readable artifacts", ""]
     found = False
-    for name in sorted(COLLECTORS):
-        path = bench_dir / name
-        if not path.exists():
+    for name in ARTIFACTS:
+        if not (bench_dir / f"BENCH_{name}.json").exists():
             continue
         found = True
-        try:
-            payload = json.loads(path.read_text())
-            detail = (
-                f"{len(payload.get('series', {}))} series, "
-                f"regenerate with `{payload.get('generated_by', '?')}`"
-            )
-        except (OSError, json.JSONDecodeError) as exc:
-            detail = f"unreadable: {exc}"
-        lines.append(f"* `{name}` — {detail}")
+        lines.append(
+            f"* `BENCH_{name}.json` — regenerate with `{_generated_by(name)}`"
+        )
     if not found:
         lines.append("* (none yet — run the benchmark suites)")
     for name in unrecognized_artifacts(bench_dir):
         lines.append(
-            f"* `{name}` — **unrecognized**: no registered collector "
-            "produces this artifact"
+            f"* `{name}` — **unrecognized**: no suite writes this artifact"
         )
     return "\n".join(lines) + "\n"
 
 
-def _ledger_section(results_dir: Path) -> str:
+def _ledger_section(bench_dir: Path) -> str:
     """Markdown block on the regression ledger: cells checked, drift
     detected, and each committed baseline's age (by git commit)."""
     lines = ["## Regression-ledger status", ""]
-    payload_path = results_dir / "regress_suite.json"
+    payload_path = bench_dir / "BENCH_regress.json"
     if not payload_path.exists():
         lines.append(
             "* not run yet — `python -m repro bench-regress` fingerprints "
@@ -180,13 +143,16 @@ def _ledger_section(results_dir: Path) -> str:
 
 def collect(results_dir: Path | str = DEFAULT_RESULTS) -> str:
     """Concatenate all result blocks into one markdown document."""
-    results_dir = Path(results_dir)
+    results_dir = Path(results_dir).resolve()
     blocks = []
     for path in sorted(results_dir.glob("*.txt"), key=_sort_key):
         blocks.append("```\n" + path.read_text().rstrip() + "\n```")
     header = (
         "# Benchmark report\n\n"
-        f"{len(blocks)} figure series collected from `{results_dir}`.\n"
+        # Named relative to the benchmarks dir, so the report does not
+        # depend on where the checkout lives.
+        f"{len(blocks)} figure series collected from "
+        f"`{results_dir.parent.name}/{results_dir.name}`.\n"
         "Regenerate with `pytest benchmarks/ --benchmark-only`.\n"
     )
     body = header + "\n\n" + "\n\n".join(blocks) + "\n"
@@ -195,15 +161,14 @@ def collect(results_dir: Path | str = DEFAULT_RESULTS) -> str:
         + "\n"
         + _artifact_section(results_dir.parent)
         + "\n"
-        + _ledger_section(results_dir)
+        + _ledger_section(results_dir.parent)
     )
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI: write REPORT.md and every registered BENCH_*.json.
+    """CLI: write REPORT.md, the one file this command owns.
 
-    Exits 1 when a registered artifact is neither present nor
-    regenerable from the series under the results directory.
+    Exits 1 when a listed ``BENCH_*.json`` artifact is missing.
     """
     argv = sys.argv[1:] if argv is None else argv
     results_dir = Path(argv[0]) if argv else DEFAULT_RESULTS
@@ -211,26 +176,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"no results at {results_dir}; run the benchmarks first", file=sys.stderr)
         return 1
     bench_dir = results_dir.parent
-    missing = []
-    for name, series in sorted(COLLECTORS.items()):
-        merged = collect_series(series, results_dir)
-        if merged is not None:
-            out_path = bench_dir / name
-            out_path.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
-            print(f"wrote {out_path} ({len(merged['series'])} series)")
-        elif (bench_dir / name).exists():
-            # The artifact exists but its source series are gone: it
-            # can no longer be regenerated and is silently rotting.
-            print(
-                f"warning: {bench_dir / name} is stale — no {series}*.json "
-                f"series under {results_dir} to regenerate it from",
-                file=sys.stderr,
-            )
-        else:
-            missing.append(name)
     for name in unrecognized_artifacts(bench_dir):
         print(
-            f"warning: {bench_dir / name} matches no registered collector "
+            f"warning: {bench_dir / name} is written by no suite "
             "(stale or hand-dropped benchmark artifact?)",
             file=sys.stderr,
         )
@@ -238,10 +186,14 @@ def main(argv: list[str] | None = None) -> int:
     out = bench_dir / "REPORT.md"
     out.write_text(report)
     print(f"wrote {out} ({len(report.splitlines())} lines)")
+    missing = [
+        name for name in ARTIFACTS
+        if not (bench_dir / f"BENCH_{name}.json").exists()
+    ]
     for name in missing:
         print(
-            f"error: {bench_dir / name} is missing and no {COLLECTORS[name]}*.json "
-            f"series under {results_dir} can regenerate it",
+            f"error: {bench_dir / f'BENCH_{name}.json'} is missing; "
+            f"regenerate it with `{_generated_by(name)}`",
             file=sys.stderr,
         )
     return 1 if missing else 0

@@ -20,7 +20,7 @@ telemetry) must raise :class:`~repro.errors.SpecError`.
 
 Per the repo's determinism policy every gate is certificate or
 op-count based, and the payload carries no wall clock: perfbench
-measures the system's time from outside.  The merged artifact is
+measures the system's time from outside.  The artifact is
 ``benchmarks/BENCH_degrade.json``.
 """
 

@@ -2,8 +2,6 @@
 
 ``python -m repro bench elastic`` drives the :mod:`repro.elastic`
 subsystem through seed-pinned streaming scenarios and persists
-``benchmarks/results/elastic_suite.json``;
-the driver merges every ``elastic*.json`` series into
 ``benchmarks/BENCH_elastic.json``.
 
 Two measurements (elastic-off identity — the factory's

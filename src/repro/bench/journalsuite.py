@@ -2,8 +2,6 @@
 
 ``python -m repro bench journal`` drives the :mod:`repro.journal`
 subsystem through seed-pinned streaming scenarios and persists
-``benchmarks/results/journal_suite.json``;
-the driver merges every ``journal*.json`` series into
 ``benchmarks/BENCH_journal.json``.
 
 Three measurements per scenario:

@@ -43,7 +43,7 @@ One predicate, :func:`_cell_failures`, decides every cell: the gate
 check, the report's status column and the summary count all read it.
 Per the repo's determinism policy every gate is equality based, and
 the payload carries no wall clock: perfbench measures the system's time
-from outside.  The merged artifact is ``benchmarks/BENCH_matrix.json``.
+from outside.  The artifact is ``benchmarks/BENCH_matrix.json``.
 """
 
 from __future__ import annotations

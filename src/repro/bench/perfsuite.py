@@ -1,8 +1,7 @@
 """Deterministic performance suite: the machine-readable perf trajectory.
 
 ``python -m repro bench perf`` runs seed-pinned micro and macro
-benchmarks of the solver hot path and persists them as ``benchmarks/results/perf_suite.json``;
-the driver merges every ``perf*.json`` series into
+benchmarks of the solver hot path and persists them as
 ``benchmarks/BENCH_perf.json``, the file the perf trajectory
 accumulates in from PR to PR.
 

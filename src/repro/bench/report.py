@@ -6,10 +6,11 @@ EXPERIMENTS.md index links those files as the reproduction record.
 
 The system suites share one driver: ``python -m repro bench SUITE``
 calls :func:`run_and_write`, which runs ``repro.bench.<SUITE>suite``
-and hands its payload to :func:`publish` — the write/merge/gate tail
+and hands its payload to :func:`publish` — the write/gate tail
 ``bench-regress`` goes through too.  Every file name derives from the
-suite name: ``<suite>_suite.json`` and ``<suite>1.txt`` under the
-results directory, ``BENCH_<suite>.json`` next to it.
+suite name, and each file has this one writer: the payload lands
+once, as ``BENCH_<suite>.json`` in ``benchmarks/``, and the report
+block as ``<suite>1.txt`` under the results directory.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ __all__ = [
     "signature_hash",
 ]
 
-#: Where series land by default; merged ``BENCH_*.json`` artifacts sit
-#: one level up, in ``benchmarks/``.
+#: Where report blocks land by default; the suites' ``BENCH_*.json``
+#: payloads sit one level up, in ``benchmarks/``.
 DEFAULT_RESULTS = Path(__file__).resolve().parents[3] / "benchmarks" / "results"
 
 #: The suites behind ``python -m repro bench SUITE``.  Each module
@@ -100,30 +101,24 @@ def signature_hash(signature) -> str:
 def publish(name, payload, results_dir=None, *, write_block, summary, check) -> int:
     """Persist one suite run and gate it; returns the exit code.
 
-    Writes ``<name>_suite.json`` and the suite's report block, merges
-    every ``<name>*.json`` series into ``BENCH_<name>.json``, prints the
-    ``summary(payload)`` lines, then one ``FAIL:`` line per failure
-    ``check(payload)`` returns.  The payload is written before the gates
-    run, so a failing run still leaves its diagnostic JSON behind.  The
-    default layout puts ``BENCH_<name>.json`` in ``benchmarks/``; a
-    custom ``results_dir`` keeps everything inside that directory.
+    Writes the payload to ``BENCH_<name>.json`` and the suite's report
+    block, prints the ``summary(payload)`` lines, then one ``FAIL:``
+    line per failure ``check(payload)`` returns.  The payload is
+    written before the gates run, so a failing run still leaves its
+    diagnostic JSON behind.  The default layout puts
+    ``BENCH_<name>.json`` in ``benchmarks/`` and the block under
+    ``benchmarks/results/``; a custom ``results_dir`` holds both.
     """
-    from repro.bench.collect import collect_series
-
     if results_dir is None:
         results_dir, bench_dir = DEFAULT_RESULTS, DEFAULT_RESULTS.parent
     else:
         results_dir = bench_dir = Path(results_dir)
     results_dir.mkdir(parents=True, exist_ok=True)
 
-    out = results_dir / f"{name}_suite.json"
+    out = bench_dir / f"BENCH_{name}.json"
     out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out}")
     write_block(payload, results_dir)
-    bench_out = bench_dir / f"BENCH_{name}.json"
-    merged = collect_series(name, results_dir)
-    bench_out.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {bench_out}")
 
     for line in summary(payload):
         print(line)

@@ -2,10 +2,7 @@
 
 ``python -m repro bench shard`` runs seed-pinned serving rounds through
 :class:`~repro.shard.server.ShardedTCSCServer` at shard counts
-{1, 2, 4, 8} and persists them as
-``benchmarks/results/shard_suite.json``;
-the driver merges every ``shard*.json`` series into
-``benchmarks/BENCH_shard.json``.
+{1, 2, 4, 8} and persists them as ``benchmarks/BENCH_shard.json``.
 
 Two scenario families:
 

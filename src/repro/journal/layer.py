@@ -125,6 +125,23 @@ _SNAPSHOT_STATE_KEYS = frozenset({
 })
 
 
+def _is_int(value) -> bool:
+    return type(value) is int  # not bool, not float
+
+
+def _is_id_list(value) -> bool:
+    return type(value) is list and all(map(_is_int, value))
+
+
+def _is_consumed(value) -> bool:
+    """``[[global_slot, [worker_id, ...]], ...]``, as ``server_state`` writes."""
+    return type(value) is list and all(
+        type(pair) is list and len(pair) == 2
+        and _is_int(pair[0]) and _is_id_list(pair[1])
+        for pair in value
+    )
+
+
 class JournalLayer(ServingLayer):
     """Write-ahead journaling attached at the serving seam.
 
@@ -369,12 +386,14 @@ class JournalLayer(ServingLayer):
                 f"{sorted(_SNAPSHOT_STATE_KEYS - state.keys())}, unexpected "
                 f"{sorted(state.keys() - _SNAPSHOT_STATE_KEYS)}"
             )
-        for name, value in (
-            ("wal_seq", snapshot["wal_seq"]),
-            ("events_consumed", state["events_consumed"]),
+        for name, value, valid in (
+            ("wal_seq", snapshot["wal_seq"], _is_int),
+            ("events_consumed", state["events_consumed"], _is_int),
+            ("departed", state["departed"], _is_id_list),
+            ("consumed", state["consumed"], _is_consumed),
         ):
-            if type(value) is not int:
-                raise JournalCorruptionError(f"{where}: {name}={value!r}")
+            if not valid(value):
+                raise JournalCorruptionError(f"{where}: {name}={value!r:.80}")
         try:
             restore_server_state(self._server, state)
         except (

@@ -145,7 +145,6 @@ def _restore_session(state: dict, registry: WorkerRegistry, server) -> TaskSessi
         budget=state["budget_limit"],
         arrival_time=state["arrival_time"],
         index_mode=server.index_mode,
-        rebuild_threshold=server.rebuild_threshold,
         backend=server.backend,
         counters=scratch,
     )

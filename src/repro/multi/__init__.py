@@ -19,7 +19,7 @@ from repro.multi.grouping import GroupLevelParallelSolver
 from repro.multi.mmqm import MinQualityGreedy
 from repro.multi.msqm import SumQualityGreedy
 from repro.multi.result import MultiSolverResult, MultiStep
-from repro.multi.scheduler import TaskLevelParallelSolver, ThreadedTaskLevelSolver
+from repro.multi.scheduler import TaskLevelParallelSolver
 from repro.multi.task_state import TaskState
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "SumQualityGreedy",
     "TaskLevelParallelSolver",
     "TaskState",
-    "ThreadedTaskLevelSolver",
     "build_independence_graph",
     "detect_conflicts",
 ]

@@ -29,16 +29,16 @@ are scheduled by last-known heuristic value (descending, with fresh
 threads at infinity "to avoid thread starvation") instead of FIFO, so
 the thread whose recompute blocks the next grant runs first.
 
-:class:`ThreadedTaskLevelSolver` is the real-``threading`` counterpart
-used by the functional tests: stale threads recompute concurrently on
-a thread pool, the master grants serially; same plan, real threads.
+There is no real-``threading`` variant: CPython's GIL serializes the
+pure-Python candidate computations, so real threads would show no
+speedup, and the virtual-time simulation above is what reproduces the
+paper's time-vs-cores claim (Fig. 9).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 
 from repro.core.instrumentation import OpCounters
 from repro.engine.registry import WorkerRegistry
@@ -49,7 +49,7 @@ from repro.multi.result import MultiSolverResult, MultiStep
 from repro.multi.tables import ConflictingTable, HeartbeatTable, LoggingTable
 from repro.multi.task_state import Candidate, TaskState
 
-__all__ = ["TaskLevelParallelSolver", "ThreadedTaskLevelSolver"]
+__all__ = ["TaskLevelParallelSolver"]
 
 _INF = float("inf")
 
@@ -358,109 +358,3 @@ class TaskLevelParallelSolver:
             conflict_count=conflicts,
         )
 
-
-class ThreadedTaskLevelSolver:
-    """The same master/worker protocol on real ``threading`` threads.
-
-    Each round, every stale task recomputes its candidate concurrently
-    on a pool of ``threads`` worker threads (named ``tcsc-worker_<i>``);
-    the master then grants the globally best candidate, consumes the
-    worker, and marks the executing plus conflicted tasks stale.  A
-    worker's exception propagates out of :meth:`solve`.  The produced
-    plan equals the serial plan (same argument as above).
-    """
-
-    def __init__(
-        self,
-        tasks: TaskSet,
-        registry: WorkerRegistry,
-        *,
-        k: int = 3,
-        budget: float,
-        ts: int = 4,
-        threads: int = 4,
-        use_index: bool = True,
-    ):
-        self.tasks = tasks
-        self.registry = registry
-        self.budget_limit = float(budget)
-        if threads < 1:
-            raise SchedulingError(f"threads must be >= 1, got {threads}")
-        self.threads = threads
-        self.states = [
-            TaskState(task, registry, k=k, ts=ts, use_index=use_index, counters=OpCounters())
-            for task in tasks
-        ]
-
-    def solve(self) -> MultiSolverResult:
-        """Run rounds of parallel recompute + serial grant."""
-        budget = Budget(self.budget_limit)
-        assignment = Assignment()
-        steps: list[MultiStep] = []
-        conflicts = 0
-        candidates: dict[int, Candidate | None] = {}
-        stale = {state.task.task_id: state for state in self.states}
-
-        while True:
-            if stale:
-                remaining = budget.remaining
-                with ThreadPoolExecutor(
-                    max_workers=self.threads, thread_name_prefix="tcsc-worker"
-                ) as pool:
-                    found = list(
-                        pool.map(lambda s: s.best_candidate(remaining), stale.values())
-                    )
-                candidates.update(zip(stale, found))
-                stale = {}
-            live = [
-                (candidate, task_id)
-                for task_id, candidate in candidates.items()
-                if candidate is not None
-            ]
-            if not live:
-                break
-            candidate, task_id = min(live, key=lambda it: (-it[0].heuristic, it[1]))
-            state = next(s for s in self.states if s.task.task_id == task_id)
-            if candidate.cost > budget.remaining + 1e-12:
-                stale[task_id] = state
-                candidates[task_id] = None
-                continue
-            offer = state.execute(candidate.slot)
-            budget.charge(candidate.cost)
-            global_slot = state.task.global_slot(candidate.slot)
-            self.registry.consume(offer.worker_id, global_slot)
-            assignment.add(
-                AssignmentRecord(task_id, candidate.slot, offer.worker_id, candidate.cost)
-            )
-            steps.append(
-                MultiStep(
-                    task_id, candidate.slot, candidate.gain, candidate.cost,
-                    candidate.heuristic, offer.worker_id,
-                )
-            )
-            stale[task_id] = state
-            candidates[task_id] = None
-            for other in self.states:
-                if other.task.task_id == task_id:
-                    continue
-                lost = other.on_worker_consumed(offer.worker_id, global_slot)
-                if lost:
-                    conflicts += 1
-                    prev = candidates.get(other.task.task_id)
-                    if prev is not None and prev.slot in lost:
-                        stale[other.task.task_id] = other
-                        candidates[other.task.task_id] = None
-
-        counters = OpCounters()
-        for state in self.states:
-            counters.merge(state.counters)
-        counters.iterations = len(steps)
-        counters.conflicts_detected = conflicts
-        return MultiSolverResult(
-            assignment=assignment,
-            qualities={state.task.task_id: state.quality for state in self.states},
-            spent=budget.spent,
-            counters=counters,
-            steps=steps,
-            conflict_count=conflicts,
-        )

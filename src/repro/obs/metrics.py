@@ -133,11 +133,6 @@ class LogHistogram:
                 return float(2.0 ** (bucket + 1))
         return 0.0  # unreachable: counts always cover the rank
 
-    @staticmethod
-    def bucket_edge(bucket: int) -> float:
-        """Upper edge of one log2 bucket (what percentiles report)."""
-        return float(2.0 ** (bucket + 1))
-
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,

@@ -96,13 +96,6 @@ class TraceQuery:
             and (hi is None or self._epochs[i] < hi)
         )
 
-    def in_seq_range(self, lo: int = 0, hi: int | None = None) -> "TraceQuery":
-        """Records with ``lo <= seq < hi``."""
-        return self._filter(
-            lambda i, r: r.get("seq", -1) >= lo
-            and (hi is None or r.get("seq", -1) < hi)
-        )
-
     def where(self, predicate) -> "TraceQuery":
         """Records satisfying an arbitrary predicate."""
         return self._filter(lambda i, r: predicate(r))

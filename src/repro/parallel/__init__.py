@@ -8,8 +8,8 @@ virtual costs (derived from the solvers' operation counters) and the
 cluster computes round makespans for any core count.  This is what
 reproduces the paper's time-vs-cores curves (Fig. 9a/f) on any host.
 
-The master/worker message protocol on real threads is
-:class:`~repro.multi.scheduler.ThreadedTaskLevelSolver`; real cores
+The master/worker message protocol runs only in virtual time
+(:class:`~repro.multi.scheduler.TaskLevelParallelSolver`); real cores
 for per-shard work are the ``process`` executor of :mod:`repro.par`.
 """
 

@@ -97,8 +97,6 @@ class StreamingTCSCServer:
         index_mode: ``"incremental"`` (repair per-session tree indexes
             over churn-dirtied slots) or ``"rebuild"`` (reconstruct
             every round).
-        rebuild_threshold: dirty-slot fraction above which incremental
-            mode falls back to a full rebuild.
         budget_fraction: per-task budget as a fraction of the task's
             full execution cost at admission (used when the arrival
             event carries no explicit budget).
@@ -125,7 +123,6 @@ class StreamingTCSCServer:
         ts: int = 4,
         epoch_length: float = 5.0,
         index_mode: str = "incremental",
-        rebuild_threshold: float = 0.8,
         budget_fraction: float = 0.25,
         pool_budget: float | None = None,
         max_active_tasks: int = 8,
@@ -159,7 +156,6 @@ class StreamingTCSCServer:
         self.ts = ts
         self.epoch_length = float(epoch_length)
         self.index_mode = index_mode
-        self.rebuild_threshold = rebuild_threshold
         self.budget_fraction = budget_fraction
         self.max_active_tasks = max_active_tasks
         self.max_queue_depth = max_queue_depth
@@ -250,7 +246,6 @@ class StreamingTCSCServer:
             budget=0.0,
             arrival_time=arrival.time,
             index_mode=self.index_mode,
-            rebuild_threshold=self.rebuild_threshold,
             backend=self.backend,
             counters=self.counters,
             certify=self.certify,

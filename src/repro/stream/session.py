@@ -12,7 +12,7 @@ Two index-maintenance policies are supported and must produce
   :meth:`~repro.core.tree_index.TreeIndex.refresh_slots` over exactly
   the slots dirtied by churn, consumption, or the advancing clock,
   falling back to a full rebuild when the dirty set exceeds
-  ``rebuild_threshold`` of the slot line;
+  :data:`REBUILD_THRESHOLD` of the slot line;
 * ``"rebuild"`` — the index is reconstructed from scratch at every
   assignment round (the baseline the benchmarks compare against).
 
@@ -43,6 +43,10 @@ from repro.model.worker import Worker
 __all__ = ["WindowedCosts", "TaskSession", "INDEX_MODES"]
 
 INDEX_MODES = ("incremental", "rebuild")
+
+#: Dirty-slot fraction of the slot line above which incremental mode
+#: falls back to a full index rebuild.
+REBUILD_THRESHOLD = 0.8
 
 
 class WindowedCosts:
@@ -108,7 +112,6 @@ class TaskSession:
         budget: float,
         arrival_time: float,
         index_mode: str = "incremental",
-        rebuild_threshold: float = 0.8,
         backend: str = "python",
         counters: OpCounters | None = None,
         certify: bool = False,
@@ -116,10 +119,6 @@ class TaskSession:
         if index_mode not in INDEX_MODES:
             raise ConfigurationError(
                 f"unknown index_mode {index_mode!r}; choose one of {INDEX_MODES}"
-            )
-        if not 0.0 < rebuild_threshold <= 1.0:
-            raise ConfigurationError(
-                f"rebuild_threshold must be in (0, 1], got {rebuild_threshold}"
             )
         self.task = task
         self.k = k
@@ -141,7 +140,7 @@ class TaskSession:
         self.first_assign_time: float | None = None
         self._index: TreeIndex | None = None
         self._dirty: set[int] = set()
-        self._dirty_limit = max(1, int(rebuild_threshold * task.num_slots))
+        self._dirty_limit = max(1, int(REBUILD_THRESHOLD * task.num_slots))
         # Certificate state (``repro.degrade``); ``certify`` is only
         # set when an approximate mode is configured, because tracking
         # probes offers and gains through the counted providers — with

@@ -53,9 +53,10 @@ def medium_costs(medium_scenario):
 def bench_smoke(tmp_path, capsys):
     """Run ``python -m repro bench SUITE --smoke`` into ``tmp_path``.
 
-    Asserts the shared driver contract — exit 0, ``<suite>_suite.json``
-    and ``BENCH_<suite>.json`` inside the custom results dir, and a
-    payload the suite's own ``check_payload`` passes — and returns
+    Asserts the shared driver contract — exit 0, the payload written
+    once, as ``BENCH_<suite>.json``, beside the ``<suite>1.txt`` block
+    and no other file inside the custom results dir, and a payload the
+    suite's own ``check_payload`` passes — and returns
     ``(stdout, payload)`` for the suite-specific assertions.
     """
     from repro.__main__ import main
@@ -64,9 +65,10 @@ def bench_smoke(tmp_path, capsys):
         code = main(["bench", suite, "--smoke", "--results-dir", str(tmp_path)])
         out = capsys.readouterr().out
         assert code == 0
-        assert (tmp_path / f"{suite}_suite.json").exists()
-        assert (tmp_path / f"BENCH_{suite}.json").exists()
-        payload = json.loads((tmp_path / f"{suite}_suite.json").read_text())
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"BENCH_{suite}.json", f"{suite}1.txt",
+        ]
+        payload = json.loads((tmp_path / f"BENCH_{suite}.json").read_text())
         module = importlib.import_module(f"repro.bench.{suite}suite")
         assert module.check_payload(payload) == []
         return out, payload

@@ -9,9 +9,8 @@ import pytest
 
 from repro.bench.ascii_plot import bar_chart, line_chart
 from repro.bench.collect import (
-    COLLECTORS,
+    ARTIFACTS,
     collect,
-    collect_series,
     main,
     unrecognized_artifacts,
 )
@@ -21,16 +20,18 @@ from repro.errors import ConfigurationError
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
-def _results_with_series(tmp_path, *, skip=()):
-    """A results dir holding one figure block plus a series for every
-    registered artifact (except ``skip``), so ``main`` can regenerate
-    them all."""
+def _results_with_artifacts(tmp_path, *, skip=()):
+    """A results dir holding one figure block, with a ``BENCH_*.json``
+    artifact beside it for every suite of ``ARTIFACTS`` (except
+    ``skip``)."""
     results = tmp_path / "results"
     results.mkdir()
     (results / "fig6a.txt").write_text("# fig6a: early\nrow\n")
-    for series in COLLECTORS.values():
-        if series not in skip:
-            (results / f"{series}_suite.json").write_text("{}\n")
+    for name in ARTIFACTS:
+        if name not in skip:
+            (tmp_path / f"BENCH_{name}.json").write_text(
+                json.dumps({"suite": name}, indent=2, sort_keys=True) + "\n"
+            )
     return results
 
 
@@ -99,112 +100,90 @@ class TestCollect:
         assert "3 figure series" in report
 
     def test_main_writes_report(self, tmp_path, capsys):
-        results = _results_with_series(tmp_path)
+        results = _results_with_artifacts(tmp_path)
         assert main([str(results)]) == 0
         assert "fig6a" in (tmp_path / "REPORT.md").read_text()
 
     def test_main_fails_on_missing_registered_artifact(self, tmp_path, capsys):
-        results = _results_with_series(tmp_path, skip=("elastic", "regress"))
+        results = _results_with_artifacts(tmp_path, skip=("elastic", "regress"))
         assert main([str(results)]) == 1
         err = capsys.readouterr().err
-        # REPORT.md is still written, and every missing artifact named.
+        # REPORT.md is still written, and every missing artifact named
+        # with the command that regenerates it.
         assert (tmp_path / "REPORT.md").exists()
         assert "BENCH_elastic.json" in err and "BENCH_regress.json" in err
+        assert "python -m repro bench elastic" in err
+        assert "python -m repro bench-regress" in err
         assert "missing" in err and "BENCH_perf.json" not in err
-        # A present (even stale) artifact is not missing.
-        (tmp_path / "BENCH_elastic.json").write_text('{"series": {}}\n')
-        (tmp_path / "BENCH_regress.json").write_text('{"series": {}}\n')
+        (tmp_path / "BENCH_elastic.json").write_text("{}\n")
+        (tmp_path / "BENCH_regress.json").write_text("{}\n")
         assert main([str(results)]) == 0
 
     def test_main_missing_dir(self, tmp_path, capsys):
         assert main([str(tmp_path / "nope")]) == 1
 
-    def test_collect_stream_merges_json_series(self, tmp_path):
-        (tmp_path / "stream1.json").write_text('{"events_per_sec": 10.0}\n')
-        (tmp_path / "stream2.json").write_text('{"events_per_sec": 20.0}\n')
-        merged = collect_series("stream", tmp_path)
-        assert set(merged["series"]) == {"stream1", "stream2"}
-        assert merged["series"]["stream1"]["events_per_sec"] == 10.0
-
-    def test_collect_stream_none_without_series(self, tmp_path):
-        assert collect_series("stream", tmp_path) is None
-
-    def test_main_writes_bench_stream_json(self, tmp_path, capsys):
-        results = _results_with_series(tmp_path, skip=("stream",))
-        (results / "stream1.json").write_text('{"events_per_sec": 10.0}\n')
+    def test_main_leaves_artifacts_byte_identical(self, tmp_path, capsys):
+        # One writer per artifact: each suite writes its BENCH_*.json,
+        # and collect writes only REPORT.md — not even a stray series
+        # file under results/ makes it merge or rewrite an artifact.
+        results = _results_with_artifacts(tmp_path)
+        (results / "shard2.json").write_text('{"suite": "other"}\n')
+        (results / "stream2.json").write_text('{"events_per_sec": 10.0}\n')
+        before = {p.name: p.read_bytes() for p in tmp_path.glob("BENCH_*.json")}
+        listing = sorted(p.name for p in tmp_path.rglob("*"))
         assert main([str(results)]) == 0
-        payload = json.loads((tmp_path / "BENCH_stream.json").read_text())
-        assert set(payload["series"]) == {"stream1"}
-        assert payload["generated_by"] == "python -m repro.bench.collect"
-
-    def test_collect_shard_merges_json_series(self, tmp_path):
-        (tmp_path / "shard_suite.json").write_text('{"suite": "shardsuite"}\n')
-        merged = collect_series("shard", tmp_path)
-        assert set(merged["series"]) == {"shard_suite"}
-        assert merged["generated_by"] == "python -m repro bench shard"
-
-    def test_collect_journal_merges_json_series(self, tmp_path):
-        (tmp_path / "journal_suite.json").write_text('{"suite": "journalsuite"}\n')
-        merged = collect_series("journal", tmp_path)
-        assert set(merged["series"]) == {"journal_suite"}
-        assert merged["generated_by"] == "python -m repro bench journal"
-
-    def test_collect_degrade_merges_json_series(self, tmp_path):
-        (tmp_path / "degrade_suite.json").write_text(
-            '{"suite": "degradesuite"}\n'
+        after = {p.name: p.read_bytes() for p in tmp_path.glob("BENCH_*.json")}
+        assert after == before
+        assert sorted(p.name for p in tmp_path.rglob("*")) == sorted(
+            [*listing, "REPORT.md"]
         )
-        merged = collect_series("degrade", tmp_path)
-        assert set(merged["series"]) == {"degrade_suite"}
-        assert merged["generated_by"] == "python -m repro bench degrade"
+        assert capsys.readouterr().err == ""
 
     def test_every_registered_artifact_has_a_collector(self):
-        assert set(COLLECTORS) == {
-            "BENCH_stream.json", "BENCH_perf.json", "BENCH_shard.json",
-            "BENCH_journal.json", "BENCH_matrix.json", "BENCH_degrade.json", "BENCH_elastic.json",
-            "BENCH_regress.json",
-        }
-        assert list(COLLECTORS.values()) == ["stream", *SUITES, "regress"]
-        for name, series in COLLECTORS.items():
-            assert name == f"BENCH_{series}.json"
-        # Every registered artifact is committed: docs and CI link them.
-        missing = sorted(n for n in COLLECTORS if not (BENCHMARKS / n).is_file())
+        assert ARTIFACTS == (*SUITES, "regress")
+        # Every listed artifact is committed: docs and CI link them.
+        missing = sorted(
+            name for name in ARTIFACTS
+            if not (BENCHMARKS / f"BENCH_{name}.json").is_file()
+        )
         assert missing == []
+        assert unrecognized_artifacts(BENCHMARKS) == []
 
     def test_unrecognized_artifacts_detected(self, tmp_path):
-        (tmp_path / "BENCH_stream.json").write_text("{}\n")
+        (tmp_path / "BENCH_shard.json").write_text("{}\n")
+        (tmp_path / "BENCH_retired.json").write_text("{}\n")
         (tmp_path / "BENCH_mystery.json").write_text("{}\n")
-        assert unrecognized_artifacts(tmp_path) == ["BENCH_mystery.json"]
-
-    def test_main_warns_on_stale_registered_artifact(self, tmp_path, capsys):
-        results = _results_with_series(tmp_path, skip=("stream",))
-        # A registered artifact whose source series vanished: it must
-        # be flagged as stale, not silently skipped.
-        (tmp_path / "BENCH_stream.json").write_text('{"series": {}}\n')
-        assert main([str(results)]) == 0
-        err = capsys.readouterr().err
-        assert "BENCH_stream.json" in err
-        assert "stale" in err
+        assert unrecognized_artifacts(tmp_path) == [
+            "BENCH_mystery.json", "BENCH_retired.json",
+        ]
 
     def test_main_warns_on_unrecognized_artifact(self, tmp_path, capsys):
-        results = _results_with_series(tmp_path)
+        results = _results_with_artifacts(tmp_path)
         (tmp_path / "BENCH_mystery.json").write_text("{}\n")
         assert main([str(results)]) == 0
         err = capsys.readouterr().err
         assert err.count("BENCH_mystery.json") == 1
-        assert "no registered collector" in err
+        assert "written by no suite" in err
 
     def test_report_ingests_bench_artifacts(self, tmp_path):
         results = tmp_path / "results"
         results.mkdir()
         (results / "fig6a.txt").write_text("# fig6a: early\nrow\n")
-        (tmp_path / "BENCH_shard.json").write_text(
-            json.dumps({"generated_by": "python -m repro bench shard",
-                        "series": {"shard_suite": {}}})
+        (tmp_path / "BENCH_shard.json").write_text('{"suite": "shard"}\n')
+        (tmp_path / "BENCH_regress.json").write_text(
+            json.dumps({"baselines_dir": "bl", "cells": [
+                {"cell": "plain-s1", "baseline": "ok",
+                 "critical_path_total": 12.5, "baseline_commit": "abc"},
+            ]})
         )
         report = collect(results)
         assert "Machine-readable artifacts" in report
-        assert "BENCH_shard.json" in report
-        assert "python -m repro bench shard" in report
+        assert "`BENCH_shard.json` — regenerate with `python -m repro bench shard`" in report
+        assert "`BENCH_regress.json` — regenerate with `python -m repro bench-regress`" in report
+        assert "BENCH_perf.json" not in report
+        # The ledger section reads BENCH_regress.json.
+        assert "* 1 cells checked against `bl`" in report
+        assert "| `plain-s1` | ok | 12.5 | abc |" in report
 
     def test_report_flags_unrecognized_artifacts(self, tmp_path):
         results = tmp_path / "results"

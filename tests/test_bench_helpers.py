@@ -9,7 +9,6 @@ import json
 import pytest
 
 from repro.bench.baselines import random_multi_assignment
-from repro.bench.collect import collect_series
 from repro.bench.matrixsuite import (
     CELL_GATES,
     CROSS_CELL_FIELDS,
@@ -168,16 +167,26 @@ class TestSuiteDriver:
         smoke = inspect.signature(module.run_suite).parameters["smoke"]
         assert smoke.kind is inspect.Parameter.KEYWORD_ONLY
 
-    @pytest.mark.parametrize("suite", SUITES)
-    def test_series_merge_is_per_suite(self, suite, tmp_path):
-        # Every suite's series side by side in one results dir, plus the
-        # non-suite series: no suite's glob may pick up another's file.
-        for name in (*SUITES, "regress"):
-            (tmp_path / f"{name}_suite.json").write_text(json.dumps({"suite": name}))
-        (tmp_path / "stream1.json").write_text("{}")
-        merged = collect_series(suite, tmp_path)
-        assert merged["series"] == {f"{suite}_suite": {"suite": suite}}
-        assert merged["generated_by"] == f"python -m repro bench {suite}"
+    @pytest.mark.parametrize("suite", (*SUITES, "regress"))
+    def test_series_merge_is_per_suite(self, suite, tmp_path, capsys):
+        # One writer per artifact: the payload lands once, as
+        # BENCH_<suite>.json, beside the suite's report block.
+        payload = {"suite": suite, "cells": [1, 2], "nested": {"b": 1, "a": 0.5}}
+
+        def write_block(payload, results):
+            (results / f"{suite}1.txt").write_text("block\n")
+
+        code = publish(
+            suite, payload, tmp_path,
+            write_block=write_block, summary=lambda p: [], check=lambda p: [],
+        )
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"BENCH_{suite}.json", f"{suite}1.txt",
+        ]
+        assert (tmp_path / f"BENCH_{suite}.json").read_text() == (
+            json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        )
 
     def test_publish_writes_before_gating(self, tmp_path, capsys):
         blocks = []
@@ -192,10 +201,9 @@ class TestSuiteDriver:
         captured = capsys.readouterr()
         assert code == 1
         assert blocks == [tmp_path]
-        # The diagnostic payload and the merged artifact are left behind.
-        assert json.loads((tmp_path / "perf_suite.json").read_text()) == {"cells": 2}
-        merged = json.loads((tmp_path / "BENCH_perf.json").read_text())
-        assert merged["series"] == {"perf_suite": {"cells": 2}}
+        # The diagnostic payload is left behind, as the single artifact.
+        assert [p.name for p in tmp_path.iterdir()] == ["BENCH_perf.json"]
+        assert json.loads((tmp_path / "BENCH_perf.json").read_text()) == {"cells": 2}
         assert "cells=2" in captured.out
         assert captured.err.splitlines() == [
             "FAIL: first broken gate",

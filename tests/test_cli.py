@@ -415,8 +415,9 @@ class TestJournalCLI:
             (lambda state: state.update(pool={"remaining": 1.0,
                                               "refreshed": 0.0}),
              "AttributeError"),
+            (lambda state: state.update(departed="xy"), "departed='xy'"),
         ],
-        ids=["missing-key", "pool-without-budget"],
+        ids=["missing-key", "pool-without-budget", "departed-str"],
     )
     def test_malformed_snapshot_resume_exits_2(
         self, tmp_path, capsys, damage, message

@@ -249,9 +249,12 @@ class TestPlainRecovery:
             lambda payload: payload.update(state=[payload["state"]]),
             lambda payload: payload["state"].update(events_consumed=True),
             lambda payload: payload["state"].update(pool=5),
+            lambda payload: payload["state"].update(departed="xy"),
+            lambda payload: payload["state"].update(consumed=[[0, ["7"]]]),
         ],
         ids=["missing-key", "float-wal-seq", "state-not-dict",
-             "bool-events-consumed", "restore-fails"],
+             "bool-events-consumed", "restore-fails", "departed-str",
+             "consumed-str-ids"],
     )
     def test_malformed_snapshot_raises_typed(self, trace, tmp_path, damage):
         """A CRC-valid snapshot of the wrong shape is journal

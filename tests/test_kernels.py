@@ -467,14 +467,3 @@ def test_perfsuite_smoke_payload(tmp_path):
     payload = run_suite(smoke=True)
     assert payload["scenarios"][0]["plan_identical"]
     assert check_payload(payload) == []
-
-
-def test_collect_perf_merges_series(tmp_path):
-    import json
-
-    from repro.bench.collect import collect_series
-
-    assert collect_series("perf", tmp_path) is None
-    (tmp_path / "perf_suite.json").write_text(json.dumps({"suite": "perfsuite"}))
-    merged = collect_series("perf", tmp_path)
-    assert merged is not None and "perf_suite" in merged["series"]

@@ -125,8 +125,10 @@ class TestSuiteFlow:
             update=True, results_dir=results, baselines_dir=baselines
         ) == 0
         assert (baselines / "stream-s1.json").exists()
-        assert (results / "regress_suite.json").exists()
-        assert (results / "BENCH_regress.json").exists()
+        # The payload lands once, beside its block: no second copy.
+        assert sorted(p.name for p in results.iterdir()) == [
+            "BENCH_regress.json", "regress1.txt",
+        ]
         assert regresssuite.run_and_write(
             check=True, results_dir=results, baselines_dir=baselines
         ) == 0
@@ -173,10 +175,12 @@ class TestLedgerSection:
     ):
         from repro.bench import collect
 
+        # A custom --results-dir holds BENCH_regress.json itself, and
+        # collect reads artifacts one level above its results dir.
         results = tmp_path / "results"
-        baselines = tmp_path / "baselines"
+        results.mkdir()
         regresssuite.run_and_write(
-            update=True, results_dir=results, baselines_dir=baselines
+            update=True, results_dir=tmp_path, baselines_dir=tmp_path / "baselines"
         )
         report = collect.collect(results)
         assert "## Regression-ledger status" in report

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import threading
-
 import pytest
 
 from repro.errors import SchedulingError
 from repro.multi.msqm import SumQualityGreedy
-from repro.multi.scheduler import TaskLevelParallelSolver, ThreadedTaskLevelSolver
+from repro.multi.scheduler import TaskLevelParallelSolver
 from repro.multi.tables import ConflictingTable, HeartbeatTable, LoggingTable
 from repro.multi.task_state import TaskState
 from repro.workloads.scenario import ScenarioConfig, build_scenario
@@ -118,66 +116,6 @@ class TestPipelinedMode:
         assert len(solver.log) > 0
         # Heartbeats are removed as threads finish.
         assert len(solver.heartbeats) == 0
-
-
-class TestThreadedSolver:
-    def test_plan_equals_serial(self, scenario, serial_plan):
-        result = ThreadedTaskLevelSolver(
-            scenario.tasks,
-            scenario.fresh_registry(),
-            budget=shared_budget(scenario),
-            threads=4,
-        ).solve()
-        assert result.plan_signature() == serial_plan.plan_signature()
-
-    def test_single_thread_also_matches(self, scenario, serial_plan):
-        result = ThreadedTaskLevelSolver(
-            scenario.tasks,
-            scenario.fresh_registry(),
-            budget=shared_budget(scenario),
-            threads=1,
-        ).solve()
-        assert result.plan_signature() == serial_plan.plan_signature()
-
-    def test_actually_uses_threads(self, scenario, monkeypatch):
-        seen = set()
-        lock = threading.Lock()
-        recompute = TaskState.best_candidate
-
-        def spy(state, remaining):
-            with lock:
-                seen.add(threading.current_thread().name)
-            return recompute(state, remaining)
-
-        monkeypatch.setattr(TaskState, "best_candidate", spy)
-        ThreadedTaskLevelSolver(
-            scenario.tasks,
-            scenario.fresh_registry(),
-            budget=shared_budget(scenario),
-            threads=4,
-        ).solve()
-        assert seen
-        assert all(name.startswith("tcsc-worker") for name in seen)
-
-    def test_propagates_exceptions(self, scenario, monkeypatch):
-        def boom(state, remaining):
-            raise ValueError("kaput")
-
-        monkeypatch.setattr(TaskState, "best_candidate", boom)
-        solver = ThreadedTaskLevelSolver(
-            scenario.tasks,
-            scenario.fresh_registry(),
-            budget=shared_budget(scenario),
-            threads=2,
-        )
-        with pytest.raises(ValueError, match="kaput"):
-            solver.solve()
-
-    def test_rejects_bad_thread_count(self, scenario):
-        with pytest.raises(SchedulingError):
-            ThreadedTaskLevelSolver(
-                scenario.tasks, scenario.fresh_registry(), budget=1.0, threads=0
-            )
 
 
 class TestTables:

@@ -14,7 +14,7 @@ from repro.bench.collect import (
     main,
     unrecognized_artifacts,
 )
-from repro.bench.report import SUITES
+from repro.bench.report import SUITES, publish
 from repro.errors import ConfigurationError
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -139,6 +139,80 @@ class TestCollect:
         )
         assert capsys.readouterr().err == ""
 
+    def test_collect_stream_merges_json_series(self, tmp_path):
+        # Stream series files are no longer merged: collect neither
+        # lists nor reads them, and writes nothing.
+        results = _results_with_artifacts(tmp_path)
+        (results / "stream2.json").write_text('{"events_per_sec": 10.0}\n')
+        (results / "stream3.json").write_text('{"events_per_sec": 20.0}\n')
+        listing = sorted(p.name for p in tmp_path.rglob("*"))
+        report = collect(results)
+        assert "stream2" not in report and "stream3" not in report
+        assert sorted(p.name for p in tmp_path.rglob("*")) == listing
+
+    def test_collect_stream_none_without_series(self, tmp_path):
+        # The stream figure reaches the report as its text block only;
+        # no machine-readable stream artifact is listed or expected.
+        assert "stream" not in ARTIFACTS
+        results = _results_with_artifacts(tmp_path)
+        (results / "stream1.txt").write_text("# stream1: throughput\nrow\n")
+        report = collect(results)
+        assert "# stream1: throughput" in report
+        assert not [
+            line for line in report.splitlines()
+            if line.startswith("* `BENCH_") and "stream" in line
+        ]
+
+    def test_main_writes_bench_stream_json(self, tmp_path, capsys):
+        # main writes REPORT.md and no artifact, even with a stream
+        # series file beside the blocks.
+        results = _results_with_artifacts(tmp_path)
+        (results / "stream2.json").write_text('{"events_per_sec": 10.0}\n')
+        before = sorted(p.name for p in tmp_path.glob("BENCH_*.json"))
+        assert main([str(results)]) == 0
+        assert sorted(p.name for p in tmp_path.glob("BENCH_*.json")) == before
+        assert (tmp_path / "REPORT.md").is_file()
+        assert capsys.readouterr().err == ""
+
+    def _assert_suite_artifact_untouched(self, tmp_path, capsys, name):
+        """A suite's ``BENCH_<name>.json`` as its suite wrote it
+        survives ``main`` byte for byte, unwrapped, and is indexed with
+        the command that regenerates it; a leftover
+        ``<name>2.json`` series is not merged into it."""
+        results = _results_with_artifacts(tmp_path, skip=(name,))
+        payload = {"suite": f"{name}suite", "rows": [1, 2]}
+        artifact = tmp_path / f"BENCH_{name}.json"
+        publish(
+            name, payload, tmp_path,
+            write_block=lambda payload, out: None,
+            summary=lambda payload: [],
+            check=lambda payload: [],
+        )
+        written = artifact.read_bytes()
+        assert written == (
+            json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        ).encode()
+        (results / f"{name}2.json").write_text('{"suite": "old"}\n')
+        capsys.readouterr()
+        assert main([str(results)]) == 0
+        assert artifact.read_bytes() == written
+        assert json.loads(written) == payload
+        report = (tmp_path / "REPORT.md").read_text()
+        assert (
+            f"`BENCH_{name}.json` — regenerate with "
+            f"`python -m repro bench {name}`"
+        ) in report
+        assert capsys.readouterr().err == ""
+
+    def test_collect_shard_merges_json_series(self, tmp_path, capsys):
+        self._assert_suite_artifact_untouched(tmp_path, capsys, "shard")
+
+    def test_collect_journal_merges_json_series(self, tmp_path, capsys):
+        self._assert_suite_artifact_untouched(tmp_path, capsys, "journal")
+
+    def test_collect_degrade_merges_json_series(self, tmp_path, capsys):
+        self._assert_suite_artifact_untouched(tmp_path, capsys, "degrade")
+
     def test_every_registered_artifact_has_a_collector(self):
         assert ARTIFACTS == (*SUITES, "regress")
         # Every listed artifact is committed: docs and CI link them.
@@ -156,6 +230,20 @@ class TestCollect:
         assert unrecognized_artifacts(tmp_path) == [
             "BENCH_mystery.json", "BENCH_retired.json",
         ]
+
+    def test_main_warns_on_stale_registered_artifact(self, tmp_path, capsys):
+        # An artifact no suite writes any more (here in the retired
+        # {"series": ...} wrapper) is flagged as stale, and left as it
+        # is: not regenerated, rewritten or deleted.
+        results = _results_with_artifacts(tmp_path)
+        stale = tmp_path / "BENCH_retired.json"
+        stale.write_text('{"series": {}}\n')
+        assert main([str(results)]) == 0
+        err = capsys.readouterr().err
+        assert err.count("BENCH_retired.json") == 1
+        assert "stale" in err
+        assert stale.read_text() == '{"series": {}}\n'
+        assert "**unrecognized**" in (tmp_path / "REPORT.md").read_text()
 
     def test_main_warns_on_unrecognized_artifact(self, tmp_path, capsys):
         results = _results_with_artifacts(tmp_path)
